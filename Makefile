@@ -40,11 +40,13 @@ test:
 race:
 	$(GO) test -race ./internal/core/... ./internal/funccache/... ./internal/parallel/... ./internal/serve/...
 
-# A short native-fuzzer run over the allocation API with fault injection
-# armed from the input; catches panics and verification/semantics breaks.
+# Short native-fuzzer runs: the allocation API with fault injection
+# armed from the input (catches panics and verification/semantics
+# breaks), and the content key against Format on two assembled sources.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAllocateARA -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzFuncKey -fuzztime 10s ./internal/ir/
 
 # The guarded allocator benchmarks and their invocation. `make bench`
 # runs them 5x with allocation stats and emits a candidate baseline;

@@ -204,7 +204,7 @@ func runPhases(packets int, warm bool, rewEntries int, maxRWShare float64) error
 		cache = funccache.New(funccache.Config{})
 		cfg.FuncCache = cache
 		if rewEntries >= 0 {
-			rewrites = funccache.NewRewriteCache(funccache.RewriteConfig{Entries: rewEntries, KeyFn: cache.FuncKey})
+			rewrites = funccache.NewRewriteCache(funccache.RewriteConfig{Entries: rewEntries})
 			cfg.RewriteCache = rewrites
 		}
 	}

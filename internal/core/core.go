@@ -204,7 +204,7 @@ func allocateARA(ctx context.Context, funcs []*ir.Func, cfg Config) (*Allocation
 	var groups [][]int
 	byCode := make(map[string]int)
 	for i, f := range funcs {
-		key := f.Format()
+		key := f.Key()
 		g, ok := byCode[key]
 		if !ok {
 			g = len(groups)

@@ -80,7 +80,7 @@ func staticPartition(funcs []*ir.Func, cfg Config) (alloc *Allocation, err error
 	sr := make([]int, n)
 	byCode := make(map[string]*intra.Allocator)
 	for i, f := range funcs {
-		key := f.Format()
+		key := f.Key()
 		al, ok := byCode[key]
 		if !ok {
 			var aerr error

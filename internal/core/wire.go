@@ -8,13 +8,13 @@ package core
 // (cmd/nploadgen, tests, external tools) can speak the protocol without
 // importing the server.
 //
-// Canonicalization: CanonicalKey hashes the *materialized* thread
-// bodies (ir.Func.Format()) together with the fields that change the
-// allocation result (mode, nreg, nthd). Workers, timeout, priority and
-// the dump flag are deliberately excluded: the engine's PR-1
-// determinism contract makes the allocation bit-identical for every
-// worker count, so two requests differing only in those fields may
-// safely share one engine invocation.
+// Canonicalization: CanonicalKey hashes the content keys
+// (ir.Func.Key) of the *materialized* thread bodies together with the
+// fields that change the allocation result (mode, nreg, nthd).
+// Workers, timeout, priority and the dump flag are deliberately
+// excluded: the engine's determinism contract makes the allocation
+// bit-identical for every worker count, so two requests differing only
+// in those fields may safely share one engine invocation.
 
 import (
 	"crypto/sha256"
@@ -294,18 +294,18 @@ func (r *WireRequest) FuncsCached(bodies CompiledBodies) ([]*ir.Func, error) {
 	return funcs, nil
 }
 
-// FuncKey is the per-function canonical hash: sha256 over the
-// materialized body text (ir.Func.Format covers the name, every
-// instruction and every register the function touches). Everything the
-// engine derives per function — analysis, bounds, the context chain,
-// each (pr,sr) Solve — is a pure function of this text and the
-// hardware-independent allocator mode, so FuncKey is the invalidation
-// key for function-granular caches (internal/funccache): equal keys
-// mean bit-identical per-function artifacts.
-func FuncKey(f *ir.Func) string {
-	h := sha256.Sum256([]byte(f.Format()))
-	return hex.EncodeToString(h[:])
-}
+// FuncKey is the per-function canonical hash: ir.Func.Key, a sha256
+// over a structural encoding of exactly what ir.Func.Format prints (the
+// name, every label, every instruction and every register the function
+// touches). Everything the engine derives per function — analysis,
+// bounds, the context chain, each (pr,sr) Solve — is a pure function of
+// that content and the hardware-independent allocator mode, so FuncKey
+// is the invalidation key for function-granular caches
+// (internal/funccache): equal keys mean bit-identical per-function
+// artifacts. A frozen body (every body a cache hands out) computes its
+// key once and keeps it, so repeated lookups cost nothing; no separate
+// memo is needed.
+func FuncKey(f *ir.Func) string { return f.Key() }
 
 // CanonicalKey hashes the result-determining content of the request:
 // mode, register budget, thread count and the per-function keys
@@ -317,15 +317,6 @@ func FuncKey(f *ir.Func) string {
 // function cache is keyed by: the request level dedups whole identical
 // requests, the function level reuses bodies across different ones.
 func (r *WireRequest) CanonicalKey(funcs []*ir.Func) string {
-	return r.CanonicalKeyBy(funcs, FuncKey)
-}
-
-// CanonicalKeyBy is CanonicalKey with a caller-supplied per-function
-// key function. key must agree with FuncKey; passing a memoized
-// variant (e.g. funccache.Cache.FuncKey, which caches by pointer
-// identity) lets a serving layer skip re-Formatting bodies it already
-// hashed on a previous request.
-func (r *WireRequest) CanonicalKeyBy(funcs []*ir.Func, key func(*ir.Func) string) string {
 	h := sha256.New()
 	mode := r.Mode
 	if mode == "" {
@@ -333,10 +324,18 @@ func (r *WireRequest) CanonicalKeyBy(funcs []*ir.Func, key func(*ir.Func) string
 	}
 	fmt.Fprintf(h, "%s|%d|%d\n", mode, r.NReg, r.NThd)
 	for _, f := range funcs {
-		io.WriteString(h, key(f))
+		io.WriteString(h, FuncKey(f))
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// CanonicalKeyBy is CanonicalKey; key is ignored.
+//
+// Deprecated: per-function keys come from ir.Func.Key, which frozen
+// bodies cache themselves. Use CanonicalKey.
+func (r *WireRequest) CanonicalKeyBy(funcs []*ir.Func, key func(*ir.Func) string) string {
+	return r.CanonicalKey(funcs)
 }
 
 // WireThreadAlloc is one thread's slice of a WireResponse.

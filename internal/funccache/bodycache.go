@@ -6,9 +6,14 @@ package funccache
 // ir.Func, so parsing/generation happens once per canonical body
 // rather than once per request. It implements core.CompiledBodies.
 //
-// Cached functions are shared across requests and goroutines; ir.Func
-// is read-only after Build, which is the immutability the sharing
-// relies on. Build errors are returned to the caller and never cached.
+// Cached functions are shared across requests and goroutines, so each
+// is frozen (ir.Func.Freeze) before it is inserted: the read-only
+// contract the sharing relies on is enforced, not just promised. A
+// frozen body computes its content key (ir.Func.Key) on first use and
+// keeps it, so every later request that keys a cached body — request
+// canonicalization, the function and rewrite tiers — reads a stored
+// string instead of re-hashing the body. Build errors are returned to
+// the caller and never cached.
 
 import (
 	"container/list"
@@ -79,6 +84,7 @@ func (b *BodyCache) GetOrCompile(key string, build func() (*ir.Func, error)) (*i
 	if err != nil {
 		return nil, err
 	}
+	f.Freeze()
 
 	b.mu.Lock()
 	defer b.mu.Unlock()

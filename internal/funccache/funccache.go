@@ -11,8 +11,13 @@
 // request computed: the analysis is shared read-only, and every Solve
 // the earlier run memoized is a map lookup for the later one.
 //
-// Keying: entries are keyed by core.FuncKey — sha256 of the function's
-// materialized body text. The hardware profile (NReg, thread count,
+// Keying: entries are keyed by core.FuncKey, the body's content key
+// ir.Func.Key — a sha256 over a structural encoding of exactly what
+// ir.Func.Format prints, computed without printing. Bodies handed out
+// by a BodyCache are frozen, and a frozen body keeps its key after the
+// first call, so a warm lookup never re-hashes; the cache holds no
+// pointer-keyed memo of its own (which would pin bodies the tiers have
+// already evicted). The hardware profile (NReg, thread count,
 // mode) is deliberately NOT part of the key: every per-function
 // artifact the cache holds is a pure function of the body alone —
 // analysis doesn't see NReg, and the Solve memo is keyed inside the
@@ -120,22 +125,12 @@ type Cache struct {
 	discards  atomic.Int64
 	idle      atomic.Int64
 	bytes     atomic.Int64
-
-	// keyMemo short-circuits re-Formatting a function whose key was
-	// already computed. It only pays off when ir.Func pointers are
-	// shared across requests (i.e. behind a BodyCache); it is bounded
-	// and reset wholesale when full, since pointer keys of dead funcs
-	// can never be queried again but would otherwise pin them.
-	keyMu   sync.Mutex
-	keyMemo map[*ir.Func]string
 }
-
-const keyMemoCap = 8192
 
 // New returns an empty cache sized by cfg.
 func New(cfg Config) *Cache {
 	cfg = cfg.withDefaults()
-	c := &Cache{cfg: cfg, keyMemo: make(map[*ir.Func]string)}
+	c := &Cache{cfg: cfg}
 	per := (cfg.Entries + cfg.Shards - 1) / cfg.Shards
 	for s := 0; s < cfg.Shards; s++ {
 		c.shards = append(c.shards, &shard{
@@ -168,26 +163,11 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// FuncKey returns core.FuncKey(f), memoized by pointer identity. The
-// memo only pays off when callers see stable *ir.Func pointers across
-// requests (i.e. bodies come from a BodyCache); the serving layer uses
-// it to derive request keys without re-Formatting every body.
-func (c *Cache) FuncKey(f *ir.Func) string {
-	c.keyMu.Lock()
-	if k, ok := c.keyMemo[f]; ok {
-		c.keyMu.Unlock()
-		return k
-	}
-	c.keyMu.Unlock()
-	k := core.FuncKey(f) // outside the lock: Format+sha256 is the slow part
-	c.keyMu.Lock()
-	if len(c.keyMemo) >= keyMemoCap {
-		c.keyMemo = make(map[*ir.Func]string)
-	}
-	c.keyMemo[f] = k
-	c.keyMu.Unlock()
-	return k
-}
+// FuncKey returns core.FuncKey(f).
+//
+// Deprecated: frozen bodies cache their own key (ir.Func.Key); call
+// core.FuncKey directly.
+func (c *Cache) FuncKey(f *ir.Func) string { return core.FuncKey(f) }
 
 func (c *Cache) shardOf(key string) *shard {
 	// The key is a sha256 hex digest: its first bytes are already
@@ -205,7 +185,7 @@ func (c *Cache) shardOf(key string) *shard {
 // The returned checkin must be called exactly once; ok=true recycles
 // the allocator's memo into the cache, ok=false discards it.
 func (c *Cache) Checkout(f *ir.Func) (*intra.Allocator, func(ok bool), error) {
-	key := c.FuncKey(f)
+	key := core.FuncKey(f)
 	sh := c.shardOf(key)
 
 	sh.mu.Lock()

@@ -49,7 +49,6 @@ type RewriteCache struct {
 	entries map[string]*rwEntry
 	lru     *list.List // front = most recently used; values are *rwEntry
 	cap     int
-	keyFn   func(*ir.Func) string
 
 	hits      atomic.Int64
 	relocHits atomic.Int64
@@ -64,10 +63,10 @@ type RewriteConfig struct {
 	// exact entries alike (default 1024).
 	Entries int
 
-	// KeyFn computes the content key of a virtual function body
-	// (default core.FuncKey). Pass (*Cache).FuncKey to share the
-	// function cache's pointer memo and skip re-Formatting bodies that
-	// already flowed through it.
+	// KeyFn is ignored: bodies are keyed by core.FuncKey.
+	//
+	// Deprecated: frozen bodies cache their own key (ir.Func.Key), so
+	// there is no memo to share. Leave it unset.
 	KeyFn func(*ir.Func) string
 }
 
@@ -93,15 +92,10 @@ func NewRewriteCache(cfg RewriteConfig) *RewriteCache {
 	if cfg.Entries <= 0 {
 		cfg.Entries = 1024
 	}
-	keyFn := cfg.KeyFn
-	if keyFn == nil {
-		keyFn = core.FuncKey
-	}
 	return &RewriteCache{
 		entries: make(map[string]*rwEntry),
 		lru:     list.New(),
 		cap:     cfg.Entries,
-		keyFn:   keyFn,
 	}
 }
 
@@ -135,7 +129,7 @@ func canonRewriteKey(fkey string, pr, sr int) string {
 // body on a canonical hit (the relocated body is inserted as an exact
 // entry so the next identical palette is free).
 func (rc *RewriteCache) LookupRewrite(f *ir.Func, pr, sr int, privBase, sharedBase ir.Reg) (*ir.Func, intra.RewriteStats, bool) {
-	fkey := rc.keyFn(f)
+	fkey := core.FuncKey(f)
 	ek := exactRewriteKey(fkey, pr, sr, privBase, sharedBase)
 
 	rc.mu.Lock()
@@ -176,7 +170,7 @@ func (rc *RewriteCache) LookupRewrite(f *ir.Func, pr, sr int, privBase, sharedBa
 // palette is the identity).
 func (rc *RewriteCache) StoreRewrite(f *ir.Func, pr, sr int, privBase, sharedBase ir.Reg, canonical *ir.Func, stats intra.RewriteStats) *ir.Func {
 	canonical.Freeze()
-	fkey := rc.keyFn(f)
+	fkey := core.FuncKey(f)
 	rc.insert(canonRewriteKey(fkey, pr, sr), canonical, stats)
 	body := relocateRewrite(canonical, pr, privBase, sharedBase)
 	if body != canonical {

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Block is a labeled straight-line run of instructions. Control enters at
@@ -34,12 +35,15 @@ type Func struct {
 	nPoints int
 	byLabel map[string]int
 	pointBk []int32 // point -> block index
+
+	key atomic.Pointer[string] // Key, kept once the func is frozen
 }
 
 // Freeze marks the function immutable: Build returns an error and
 // RenumberRegs panics. Caches that hand one *Func to many concurrent
 // readers freeze it first so an accidental structural mutation fails
-// loudly instead of corrupting every holder.
+// loudly instead of corrupting every holder. Freeze does not compute
+// Key: a frozen func computes it on the first Key call and keeps it.
 func (f *Func) Freeze() { f.frozen = true }
 
 // Frozen reports whether Freeze has been called.

@@ -242,8 +242,8 @@ type Response struct {
 type job struct {
 	req      *core.WireRequest
 	funcs    []*ir.Func
-	tenant   string // admission tenant (X-Tenant header; "default" otherwise)
-	priority string // admission class ("", "low", "normal", "high")
+	tenant   string          // admission tenant (X-Tenant header; "default" otherwise)
+	priority string          // admission class ("", "low", "normal", "high")
 	ctx      context.Context // detached from the client connection; carries the request deadline
 	cancel   context.CancelFunc
 	fl       *flight
@@ -322,11 +322,7 @@ func New(cfg Config) *Server {
 		s.bodies = funccache.NewBodyCache(s.cfg.BodyCacheEntries)
 	}
 	if s.cfg.RewriteCacheEntries > 0 {
-		rcfg := funccache.RewriteConfig{Entries: s.cfg.RewriteCacheEntries}
-		if s.fcache != nil {
-			rcfg.KeyFn = s.fcache.FuncKey // share the pointer-keyed Format memo
-		}
-		s.rewrites = funccache.NewRewriteCache(rcfg)
+		s.rewrites = funccache.NewRewriteCache(funccache.RewriteConfig{Entries: s.cfg.RewriteCacheEntries})
 	}
 	if s.cfg.RawCacheEntries > 0 {
 		s.raw = newRawCache(s.cfg.RawCacheEntries)
@@ -548,17 +544,11 @@ func (s *Server) allocate(r *http.Request, start time.Time) (int, any) {
 		return http.StatusInternalServerError, &core.WireError{Error: "serve: " + err.Error(), Kind: "internal"}
 	}
 
-	// Key the request off memoized per-function hashes when the function
-	// cache is on: body-cache hits hand back stable *ir.Func pointers,
-	// so the cache's pointer-keyed memo skips re-Formatting multi-KB
-	// bodies on every request. A raw-cache hit arrives with the key
-	// already derived.
+	// Body-cache hits hand back frozen bodies that keep their content
+	// key, so keying a warm request hashes no body. A raw-cache hit
+	// arrives with the key already derived.
 	if key == "" {
-		if s.fcache != nil {
-			key = req.CanonicalKeyBy(funcs, s.fcache.FuncKey)
-		} else {
-			key = req.CanonicalKey(funcs)
-		}
+		key = req.CanonicalKey(funcs)
 		if s.raw != nil {
 			// Only fully-validated requests are cached, so errors are
 			// never replayed from the raw tier.

@@ -639,7 +639,15 @@ func TestEngineTimeoutNotCached(t *testing.T) {
 	} else if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 200-degraded or 504 (body %s)", resp.StatusCode, blob)
 	}
-	waitFor(t, "the wedged engine job to finish", func() bool { return s.Metrics().Batches == 1 })
+	// Wait for the job itself, not for Batches == 1: that counter is
+	// bumped when the batch starts, and a follow-up request sent while
+	// the degraded flight still runs would join it. The job is finished
+	// once its flight has left the in-flight set.
+	waitFor(t, "the wedged engine job to finish", func() bool {
+		s.flightMu.Lock()
+		defer s.flightMu.Unlock()
+		return len(s.fg.inflight) == 0
+	})
 
 	out := mustOK(t, ts.URL, progenBody(t, 32, 0, 111))
 	if out.Degraded || out.Cached {
