@@ -47,7 +47,7 @@ func TestAdversarialCachedDifferential(t *testing.T) {
 		shape := shape
 		t.Run(string(shape), func(t *testing.T) {
 			cache := New(Config{Entries: 4, MaxIdle: 1, Shards: 1})
-			rc := NewRewriteCache(RewriteConfig{Entries: 8, KeyFn: cache.FuncKey})
+			rc := NewRewriteCache(RewriteConfig{Entries: 8})
 			for i := int64(0); i < 100; i++ {
 				// A fixed hot request (so both the function tier and the
 				// budget-keyed rewrite tier see genuine reuse) alternates

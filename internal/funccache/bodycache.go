@@ -16,36 +16,17 @@ package funccache
 // the caller and never cached.
 
 import (
-	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"npra/internal/ir"
+	"npra/internal/lru"
 )
-
-// BodyStats is a snapshot of a BodyCache's counters.
-type BodyStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Entries   int64
-}
-
-type bodyEntry struct {
-	key string
-	f   *ir.Func
-}
 
 // BodyCache is safe for concurrent use. Construct with NewBodyCache.
 type BodyCache struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used; values are *bodyEntry
-	cap     int
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	mu           sync.Mutex
+	lru          *lru.Cache[string, *ir.Func]
+	hits, misses int64 // guarded by mu
 }
 
 // NewBodyCache returns an empty cache bounded to entries bodies
@@ -54,11 +35,7 @@ func NewBodyCache(entries int) *BodyCache {
 	if entries <= 0 {
 		entries = 1024
 	}
-	return &BodyCache{
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-		cap:     entries,
-	}
+	return &BodyCache{lru: lru.New[string, *ir.Func](entries, nil)}
 }
 
 // GetOrCompile implements core.CompiledBodies: it returns the function
@@ -70,16 +47,17 @@ func NewBodyCache(entries int) *BodyCache {
 // pointer-identity reuse).
 func (b *BodyCache) GetOrCompile(key string, build func() (*ir.Func, error)) (*ir.Func, error) {
 	b.mu.Lock()
-	if el, ok := b.entries[key]; ok {
-		b.lru.MoveToFront(el)
-		f := el.Value.(*bodyEntry).f
-		b.mu.Unlock()
-		b.hits.Add(1)
-		return f, nil
+	f, ok := b.lru.Get(key)
+	if ok {
+		b.hits++
+	} else {
+		b.misses++
 	}
 	b.mu.Unlock()
+	if ok {
+		return f, nil
+	}
 
-	b.misses.Add(1)
 	f, err := build()
 	if err != nil {
 		return nil, err
@@ -88,29 +66,13 @@ func (b *BodyCache) GetOrCompile(key string, build func() (*ir.Func, error)) (*i
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if el, ok := b.entries[key]; ok {
-		b.lru.MoveToFront(el)
-		return el.Value.(*bodyEntry).f, nil
-	}
-	b.entries[key] = b.lru.PushFront(&bodyEntry{key: key, f: f})
-	for b.lru.Len() > b.cap {
-		back := b.lru.Back()
-		b.lru.Remove(back)
-		delete(b.entries, back.Value.(*bodyEntry).key)
-		b.evictions.Add(1)
-	}
+	f, _ = b.lru.Add(key, f)
 	return f, nil
 }
 
 // Stats returns a snapshot of the counters.
-func (b *BodyCache) Stats() BodyStats {
+func (b *BodyCache) Stats() lru.Stats {
 	b.mu.Lock()
-	n := int64(b.lru.Len())
-	b.mu.Unlock()
-	return BodyStats{
-		Hits:      b.hits.Load(),
-		Misses:    b.misses.Load(),
-		Evictions: b.evictions.Load(),
-		Entries:   n,
-	}
+	defer b.mu.Unlock()
+	return lru.Stats{Hits: b.hits, Misses: b.misses, Evictions: b.lru.Evictions(), Entries: int64(b.lru.Len())}
 }

@@ -36,12 +36,18 @@
 //     adds entries another run would have recomputed identically.
 //
 // Eviction is strict per-shard LRU on checkout/checkin order, bounded
-// by Config.Entries; with Shards=1 and serial use the order is fully
-// deterministic and observable through Stats.
+// by Config.Entries (the shard capacities sum to it exactly); with
+// Shards=1 and serial use the order is fully deterministic and
+// observable through Stats.
+//
+// All three tiers — BodyCache, Cache's shards and RewriteCache — sit on
+// one lru.Cache each, serialised by the tier's (or shard's) own mutex.
+// The LRU is the only code that evicts; per-entry accounting (Cache's
+// idle-pool and byte gauges, RewriteCache's byte gauge) is settled in
+// its onEvict callback.
 package funccache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
@@ -49,12 +55,14 @@ import (
 	"npra/internal/ig"
 	"npra/internal/intra"
 	"npra/internal/ir"
+	"npra/internal/lru"
 )
 
 // Config sizes a Cache. Zero values take the noted defaults.
 type Config struct {
 	// Entries bounds the number of distinct function bodies cached
-	// (default 256). The bound is split evenly across shards.
+	// (default 256). The bound is split across shards, the shard
+	// capacities summing to exactly Entries.
 	Entries int
 
 	// Shards is the lock-striping factor (default 8). Tests that assert
@@ -99,17 +107,13 @@ type Stats struct {
 // entry is one cached function body: the shared read-only analysis and
 // a LIFO pool of idle warm allocators over it.
 type entry struct {
-	key      string
 	analysis *ig.Analysis
 	idle     []*intra.Allocator
-	elem     *list.Element
 }
 
 type shard struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	lru     *list.List // front = most recently used; values are *entry
-	cap     int
+	mu  sync.Mutex
+	lru *lru.Cache[string, *entry]
 }
 
 // Cache is the function-level warm cache. It implements
@@ -119,45 +123,54 @@ type Cache struct {
 	cfg    Config
 	shards []*shard
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	discards  atomic.Int64
-	idle      atomic.Int64
-	bytes     atomic.Int64
+	hits     atomic.Int64
+	misses   atomic.Int64
+	discards atomic.Int64
+	idle     atomic.Int64
+	bytes    atomic.Int64
 }
 
 // New returns an empty cache sized by cfg.
 func New(cfg Config) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{cfg: cfg}
-	per := (cfg.Entries + cfg.Shards - 1) / cfg.Shards
 	for s := 0; s < cfg.Shards; s++ {
-		c.shards = append(c.shards, &shard{
-			entries: make(map[string]*entry),
-			lru:     list.New(),
-			cap:     per,
-		})
+		// The first Entries%Shards shards take one entry of the remainder.
+		capacity := cfg.Entries / cfg.Shards
+		if s < cfg.Entries%cfg.Shards {
+			capacity++
+		}
+		c.shards = append(c.shards, &shard{lru: lru.New(capacity, c.evicted)})
 	}
 	return c
 }
 
-// Stats returns a snapshot of the counters. Entries is summed across
-// shards under their locks; the atomics are read individually, so a
-// snapshot taken during concurrent use is approximate but each counter
-// is exact.
+// evicted releases an evicted entry's idle pool from the gauges. It runs
+// under the evicting shard's lock.
+func (c *Cache) evicted(_ string, e *entry) {
+	for _, al := range e.idle {
+		c.idle.Add(-1)
+		c.bytes.Add(-al.Footprint())
+	}
+	e.idle = nil
+}
+
+// Stats returns a snapshot of the counters. Evictions and Entries are
+// summed across shards under their locks; the atomics are read
+// individually, so a snapshot taken during concurrent use is
+// approximate but each counter is exact.
 func (c *Cache) Stats() Stats {
 	st := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Discards:  c.discards.Load(),
-		Idle:      c.idle.Load(),
-		Bytes:     c.bytes.Load(),
+		Hits:     c.hits.Load(),
+		Misses:   c.misses.Load(),
+		Discards: c.discards.Load(),
+		Idle:     c.idle.Load(),
+		Bytes:    c.bytes.Load(),
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		st.Entries += int64(len(sh.entries))
+		st.Evictions += sh.lru.Evictions()
+		st.Entries += int64(sh.lru.Len())
 		sh.mu.Unlock()
 	}
 	return st
@@ -189,11 +202,10 @@ func (c *Cache) Checkout(f *ir.Func) (*intra.Allocator, func(ok bool), error) {
 	sh := c.shardOf(key)
 
 	sh.mu.Lock()
-	e, warm := sh.entries[key]
+	e, warm := sh.lru.Get(key)
 	var al *intra.Allocator
 	var analysis *ig.Analysis
 	if warm {
-		sh.lru.MoveToFront(e.elem)
 		analysis = e.analysis
 		if n := len(e.idle); n > 0 {
 			al = e.idle[n-1]
@@ -246,15 +258,12 @@ func (c *Cache) checkinFunc(key string, al *intra.Allocator) func(bool) {
 			sh := c.shardOf(key)
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
-			e := sh.entries[key]
-			if e == nil {
+			e, cached := sh.lru.Get(key)
+			if !cached {
 				// First clean completion for this body: install the entry.
 				// Installation happens here, not at checkout, so bodies
 				// whose runs never complete cleanly are never cached.
-				e = &entry{key: key, analysis: al.A}
-				e.elem = sh.lru.PushFront(e)
-				sh.entries[key] = e
-				c.evictLocked(sh)
+				e, _ = sh.lru.Add(key, &entry{analysis: al.A})
 			} else if e.analysis != al.A {
 				// The entry was evicted and rebuilt while this allocator
 				// was out. Its memo Contexts point into a different (but
@@ -263,7 +272,6 @@ func (c *Cache) checkinFunc(key string, al *intra.Allocator) func(bool) {
 				c.discards.Add(1)
 				return
 			}
-			sh.lru.MoveToFront(e.elem)
 			if len(e.idle) < c.cfg.MaxIdle {
 				// Zero the counters so the next run that checks this
 				// allocator out reports only its own work (the engine
@@ -284,26 +292,5 @@ func (c *Cache) checkinFunc(key string, al *intra.Allocator) func(bool) {
 			}
 			c.discards.Add(1)
 		})
-	}
-}
-
-// evictLocked enforces the shard's entry bound, dropping least-recently
-// used entries (and their idle pools) until within cap. Callers hold
-// sh.mu.
-func (c *Cache) evictLocked(sh *shard) {
-	for sh.lru.Len() > sh.cap {
-		back := sh.lru.Back()
-		if back == nil {
-			return
-		}
-		victim := back.Value.(*entry)
-		sh.lru.Remove(back)
-		delete(sh.entries, victim.key)
-		c.evictions.Add(1)
-		for _, idle := range victim.idle {
-			c.idle.Add(-1)
-			c.bytes.Add(-idle.Footprint())
-		}
-		victim.idle = nil
 	}
 }

@@ -220,3 +220,26 @@ func TestConcurrentCheckouts(t *testing.T) {
 		t.Errorf("negative gauges: %+v", st)
 	}
 }
+
+// TestShardBoundSumsToEntries pins Config.Entries as a hard bound at the
+// default shard count: the per-shard capacities split the remainder, so
+// no hash skew lets the shards together hold more than Entries bodies.
+func TestShardBoundSumsToEntries(t *testing.T) {
+	var funcs []*ir.Func
+	for seed := int64(1); seed <= 64; seed++ {
+		funcs = append(funcs, genFunc(t, seed))
+	}
+	for entries := 1; entries <= 20; entries++ {
+		c := New(Config{Entries: entries})
+		for _, f := range funcs {
+			_, checkin, err := c.Checkout(f)
+			if err != nil {
+				t.Fatalf("Checkout(%s): %v", f.Name, err)
+			}
+			checkin(true)
+			if st := c.Stats(); st.Entries > int64(entries) {
+				t.Fatalf("Entries %d: cache holds %d bodies", entries, st.Entries)
+			}
+		}
+	}
+}

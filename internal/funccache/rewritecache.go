@@ -1,7 +1,6 @@
 package funccache
 
 import (
-	"container/list"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -9,6 +8,7 @@ import (
 	"npra/internal/core"
 	"npra/internal/intra"
 	"npra/internal/ir"
+	"npra/internal/lru"
 )
 
 // RewriteCache is the third tier of the function-level cache hierarchy:
@@ -45,15 +45,12 @@ import (
 // virtual body plus the full palette tuple, so a changed body or a
 // different allocation simply misses; stale entries age out via LRU.
 type RewriteCache struct {
-	mu      sync.Mutex
-	entries map[string]*rwEntry
-	lru     *list.List // front = most recently used; values are *rwEntry
-	cap     int
+	mu  sync.Mutex
+	lru *lru.Cache[string, rwEntry]
 
 	hits      atomic.Int64
 	relocHits atomic.Int64
 	misses    atomic.Int64
-	evictions atomic.Int64
 	bytes     atomic.Int64
 }
 
@@ -81,10 +78,8 @@ type RewriteCacheStats struct {
 }
 
 type rwEntry struct {
-	key   string
 	f     *ir.Func
 	stats intra.RewriteStats
-	elem  *list.Element
 }
 
 // NewRewriteCache returns an empty cache sized by cfg.
@@ -92,11 +87,9 @@ func NewRewriteCache(cfg RewriteConfig) *RewriteCache {
 	if cfg.Entries <= 0 {
 		cfg.Entries = 1024
 	}
-	return &RewriteCache{
-		entries: make(map[string]*rwEntry),
-		lru:     list.New(),
-		cap:     cfg.Entries,
-	}
+	rc := &RewriteCache{}
+	rc.lru = lru.New(cfg.Entries, func(_ string, e rwEntry) { rc.bytes.Add(-rewriteFuncBytes(e.f)) })
+	return rc
 }
 
 // Stats returns a snapshot of the counters.
@@ -105,11 +98,10 @@ func (rc *RewriteCache) Stats() RewriteCacheStats {
 		Hits:      rc.hits.Load(),
 		RelocHits: rc.relocHits.Load(),
 		Misses:    rc.misses.Load(),
-		Evictions: rc.evictions.Load(),
 		Bytes:     rc.bytes.Load(),
 	}
 	rc.mu.Lock()
-	st.Entries = int64(len(rc.entries))
+	st.Evictions, st.Entries = rc.lru.Evictions(), int64(rc.lru.Len())
 	rc.mu.Unlock()
 	return st
 }
@@ -133,34 +125,25 @@ func (rc *RewriteCache) LookupRewrite(f *ir.Func, pr, sr int, privBase, sharedBa
 	ek := exactRewriteKey(fkey, pr, sr, privBase, sharedBase)
 
 	rc.mu.Lock()
-	if e, ok := rc.entries[ek]; ok {
-		rc.lru.MoveToFront(e.elem)
-		body, stats := e.f, e.stats
+	if e, ok := rc.lru.Get(ek); ok {
 		rc.mu.Unlock()
 		rc.hits.Add(1)
-		return body, stats, true
+		return e.f, e.stats, true
 	}
-	ck := canonRewriteKey(fkey, pr, sr)
-	e, ok := rc.entries[ck]
-	var canon *ir.Func
-	var stats intra.RewriteStats
-	if ok {
-		rc.lru.MoveToFront(e.elem)
-		canon, stats = e.f, e.stats
-	}
+	e, ok := rc.lru.Get(canonRewriteKey(fkey, pr, sr))
 	rc.mu.Unlock()
 
 	if !ok {
 		rc.misses.Add(1)
 		return nil, intra.RewriteStats{}, false
 	}
-	body := relocateRewrite(canon, pr, privBase, sharedBase)
-	if body != canon {
+	body := relocateRewrite(e.f, pr, privBase, sharedBase)
+	if body != e.f {
 		body.Freeze()
-		rc.insert(ek, body, stats)
+		rc.insert(ek, body, e.stats)
 	}
 	rc.relocHits.Add(1)
-	return body, stats, true
+	return body, e.stats, true
 }
 
 // StoreRewrite implements core.RewriteSource. canonical must be the
@@ -215,24 +198,8 @@ func (rc *RewriteCache) insert(key string, f *ir.Func, stats intra.RewriteStats)
 	sz := rewriteFuncBytes(f)
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if e, ok := rc.entries[key]; ok {
-		rc.lru.MoveToFront(e.elem)
-		return
-	}
-	e := &rwEntry{key: key, f: f, stats: stats}
-	e.elem = rc.lru.PushFront(e)
-	rc.entries[key] = e
-	rc.bytes.Add(sz)
-	for rc.lru.Len() > rc.cap {
-		back := rc.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*rwEntry)
-		rc.lru.Remove(back)
-		delete(rc.entries, victim.key)
-		rc.bytes.Add(-rewriteFuncBytes(victim.f))
-		rc.evictions.Add(1)
+	if _, added := rc.lru.Add(key, rwEntry{f: f, stats: stats}); added {
+		rc.bytes.Add(sz)
 	}
 }
 

@@ -72,12 +72,12 @@ func TestRewriteCachedDifferentialSRA(t *testing.T) {
 
 // TestRewriteCachedDifferentialConcurrent interleaves duplicate kernels
 // across goroutines against the production wiring — one function cache
-// feeding one rewrite cache via the shared FuncKey memo — with a tight
+// feeding one rewrite cache, both keyed by core.FuncKey — with a tight
 // entry bound so relocation, insertion and eviction race. The -race
 // regression for frozen pointer sharing.
 func TestRewriteCachedDifferentialConcurrent(t *testing.T) {
 	cache := New(Config{Entries: 6, MaxIdle: 2})
-	rc := NewRewriteCache(RewriteConfig{Entries: 8, KeyFn: cache.FuncKey})
+	rc := NewRewriteCache(RewriteConfig{Entries: 8})
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)

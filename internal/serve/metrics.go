@@ -9,6 +9,7 @@ import (
 
 	"npra/internal/funccache"
 	"npra/internal/intra"
+	"npra/internal/lru"
 )
 
 // latencyBucketsMS are the upper bounds (inclusive, in milliseconds) of
@@ -16,6 +17,16 @@ import (
 // the tail. Log-spaced: the interesting territory spans sub-millisecond
 // cache hits to multi-second degraded engine runs.
 var latencyBucketsMS = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
+
+// maxTenantLabels caps the tenants the per-tenant counters break out.
+// X-Tenant is client-controlled, so the first maxTenantLabels tenants
+// seen keep their own label and every later one is counted under
+// otherTenant: the counter maps and the /metrics exposition stay
+// bounded however many distinct tenants arrive.
+const (
+	maxTenantLabels = 64
+	otherTenant     = "other"
+)
 
 // Metrics aggregates the serving layer's counters. All methods are safe
 // for concurrent use. The zero value is not usable; Server owns the one
@@ -45,6 +56,7 @@ type Metrics struct {
 	tenantAdmit     map[string]int64 // tenant -> requests entering the pipeline (leader or in-flight join)
 	tenantComplete  map[string]int64 // tenant -> requests answered 200
 	tenantOverloads map[string]int64 // tenant -> requests refused 429
+	tenantLabels    map[string]bool  // tenants with their own label, at most maxTenantLabels
 
 	svcEWMANS float64 // exponentially weighted moving average of per-job engine service time
 	jobsDone  int64   // engine jobs measured into the EWMA
@@ -61,7 +73,20 @@ func newMetrics() *Metrics {
 		tenantAdmit:     make(map[string]int64),
 		tenantComplete:  make(map[string]int64),
 		tenantOverloads: make(map[string]int64),
+		tenantLabels:    make(map[string]bool),
 	}
+}
+
+// tenantLabel returns the label tenant is counted under. Callers hold
+// m.mu.
+func (m *Metrics) tenantLabel(tenant string) string {
+	if !m.tenantLabels[tenant] {
+		if len(m.tenantLabels) >= maxTenantLabels {
+			return otherTenant
+		}
+		m.tenantLabels[tenant] = true
+	}
+	return tenant
 }
 
 // observe records one finished allocation request: its response status
@@ -102,7 +127,7 @@ func (m *Metrics) overloadReason(tenant, reason string) {
 	defer m.mu.Unlock()
 	m.overloads++
 	m.sheds[reason]++
-	m.tenantOverloads[tenant]++
+	m.tenantOverloads[m.tenantLabel(tenant)]++
 }
 
 // tenantAdmitted records one request entering the allocation pipeline
@@ -110,14 +135,14 @@ func (m *Metrics) overloadReason(tenant, reason string) {
 func (m *Metrics) tenantAdmitted(tenant string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.tenantAdmit[tenant]++
+	m.tenantAdmit[m.tenantLabel(tenant)]++
 }
 
 // tenantCompleted records one 200 answered for tenant.
 func (m *Metrics) tenantCompleted(tenant string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.tenantComplete[tenant]++
+	m.tenantComplete[m.tenantLabel(tenant)]++
 }
 
 // jobDone folds one engine job's wall duration into the service-time
@@ -213,22 +238,18 @@ type Snapshot struct {
 	SolveCache intra.CacheStats
 	Phases     intra.PhaseStats
 
-	// FuncCache, BodyCache and RewriteCache are the function-granular
-	// cache counters, snapshotted from the Server's caches (zero when
-	// disabled); RawCache covers the byte-identical request fast path.
-	FuncCache    funccache.Stats
-	BodyCache    funccache.BodyStats
-	RewriteCache funccache.RewriteCacheStats
-	RawCache     rawStats
+	TierStats
 }
 
-// cacheSnapshots bundles the per-tier cache counters a snapshot or a
-// render pass needs.
-type cacheSnapshots struct {
-	Func    funccache.Stats
-	Body    funccache.BodyStats
-	Rewrite funccache.RewriteCacheStats
-	Raw     rawStats
+// TierStats holds the cache tiers' counters, snapshotted from the
+// Server's caches (zero when a tier is disabled): FuncCache, BodyCache
+// and RewriteCache are the function-granular tiers, RawCache the
+// byte-identical request fast path.
+type TierStats struct {
+	FuncCache    funccache.Stats
+	BodyCache    lru.Stats
+	RewriteCache funccache.RewriteCacheStats
+	RawCache     lru.Stats
 }
 
 // SingleflightHits returns in-flight joins plus cached joins: every
@@ -247,7 +268,7 @@ func (s *Snapshot) SingleflightHitRate() float64 {
 	return float64(s.SingleflightHits()) / float64(total)
 }
 
-func (m *Metrics) snapshot(queueDepth int, tenants []tenantDepth, cs cacheSnapshots) *Snapshot {
+func (m *Metrics) snapshot(queueDepth int, tenants []tenantDepth, cs TierStats) *Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := &Snapshot{
@@ -272,10 +293,7 @@ func (m *Metrics) snapshot(queueDepth int, tenants []tenantDepth, cs cacheSnapsh
 		QueueDepth:               queueDepth,
 		SolveCache:               m.solveCache,
 		Phases:                   m.phases,
-		FuncCache:                cs.Func,
-		BodyCache:                cs.Body,
-		RewriteCache:             cs.Rewrite,
-		RawCache:                 cs.Raw,
+		TierStats:                cs,
 	}
 	for code, n := range m.requests {
 		s.Requests[code] = n
@@ -299,7 +317,7 @@ func copyCounts(src map[string]int64) map[string]int64 {
 // counter, Prometheus-style labels for the few multi-dimensional ones.
 // Output is fully deterministic (sorted codes, fixed bucket and phase
 // order).
-func (m *Metrics) render(queueDepth int, tenants []tenantDepth, cs cacheSnapshots) string {
+func (m *Metrics) render(queueDepth int, tenants []tenantDepth, cs TierStats) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -360,7 +378,7 @@ func (m *Metrics) render(queueDepth int, tenants []tenantDepth, cs cacheSnapshot
 	fmt.Fprintf(&b, "npserve_solve_cache_misses %d\n", m.solveCache.Misses)
 	fmt.Fprintf(&b, "npserve_solve_cache_hit_rate %.4f\n", m.solveCache.HitRate())
 
-	fc, bc := cs.Func, cs.Body
+	fc, bc := cs.FuncCache, cs.BodyCache
 	fmt.Fprintf(&b, "npserve_func_cache_hits %d\n", fc.Hits)
 	fmt.Fprintf(&b, "npserve_func_cache_misses %d\n", fc.Misses)
 	fmt.Fprintf(&b, "npserve_func_cache_hit_rate %.4f\n", rate(fc.Hits, fc.Misses))
@@ -375,7 +393,7 @@ func (m *Metrics) render(queueDepth int, tenants []tenantDepth, cs cacheSnapshot
 	fmt.Fprintf(&b, "npserve_body_cache_evictions %d\n", bc.Evictions)
 	fmt.Fprintf(&b, "npserve_body_cache_entries %d\n", bc.Entries)
 
-	rc := cs.Rewrite
+	rc := cs.RewriteCache
 	fmt.Fprintf(&b, "npserve_rewrite_cache_hits %d\n", rc.Hits)
 	fmt.Fprintf(&b, "npserve_rewrite_cache_reloc_hits %d\n", rc.RelocHits)
 	fmt.Fprintf(&b, "npserve_rewrite_cache_misses %d\n", rc.Misses)
@@ -384,10 +402,10 @@ func (m *Metrics) render(queueDepth int, tenants []tenantDepth, cs cacheSnapshot
 	fmt.Fprintf(&b, "npserve_rewrite_cache_entries %d\n", rc.Entries)
 	fmt.Fprintf(&b, "npserve_rewrite_cache_bytes %d\n", rc.Bytes)
 
-	fmt.Fprintf(&b, "npserve_raw_cache_hits %d\n", cs.Raw.Hits)
-	fmt.Fprintf(&b, "npserve_raw_cache_misses %d\n", cs.Raw.Misses)
-	fmt.Fprintf(&b, "npserve_raw_cache_evictions %d\n", cs.Raw.Evictions)
-	fmt.Fprintf(&b, "npserve_raw_cache_entries %d\n", cs.Raw.Entries)
+	fmt.Fprintf(&b, "npserve_raw_cache_hits %d\n", cs.RawCache.Hits)
+	fmt.Fprintf(&b, "npserve_raw_cache_misses %d\n", cs.RawCache.Misses)
+	fmt.Fprintf(&b, "npserve_raw_cache_evictions %d\n", cs.RawCache.Evictions)
+	fmt.Fprintf(&b, "npserve_raw_cache_entries %d\n", cs.RawCache.Entries)
 
 	phases := []struct {
 		name string

@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
-	"sync/atomic"
 
 	"npra/internal/core"
 	"npra/internal/ir"
+	"npra/internal/lru"
 )
 
 // rawCache is the zero-copy front door of the request path: a bounded
@@ -25,38 +24,19 @@ import (
 // form (NReg defaulted) — cached state is read-only from then on; the
 // handler must never write through it.
 type rawCache struct {
-	mu      sync.Mutex
-	entries map[string]*rawEntry
-	lru     *list.List // front = most recently used; values are *rawEntry
-	cap     int
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	mu           sync.Mutex
+	lru          *lru.Cache[string, *rawEntry]
+	hits, misses int64 // guarded by mu
 }
 
 type rawEntry struct {
-	rawKey string
-	key    string            // canonical engine key (flight/dedup key)
-	req    *core.WireRequest // normalized; shared read-only
-	funcs  []*ir.Func
-	elem   *list.Element
-}
-
-// rawStats is a point-in-time snapshot of the raw-request cache.
-type rawStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Entries   int64
+	key   string            // canonical engine key (flight/dedup key)
+	req   *core.WireRequest // normalized; shared read-only
+	funcs []*ir.Func
 }
 
 func newRawCache(entries int) *rawCache {
-	return &rawCache{
-		entries: make(map[string]*rawEntry),
-		lru:     list.New(),
-		cap:     entries,
-	}
+	return &rawCache{lru: lru.New[string, *rawEntry](entries, nil)}
 }
 
 // rawRequestKey is the one-pass content key over the raw request bytes.
@@ -65,27 +45,22 @@ func rawRequestKey(raw []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func (c *rawCache) stats() rawStats {
-	st := rawStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load()}
+func (c *rawCache) stats() lru.Stats {
 	c.mu.Lock()
-	st.Entries = int64(len(c.entries))
-	c.mu.Unlock()
-	return st
+	defer c.mu.Unlock()
+	return lru.Stats{Hits: c.hits, Misses: c.misses, Evictions: c.lru.Evictions(), Entries: int64(c.lru.Len())}
 }
 
 // lookup returns the cached pipeline products for the raw key, marking
 // the entry most recently used.
 func (c *rawCache) lookup(rawKey string) (*rawEntry, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[rawKey]
+	defer c.mu.Unlock()
+	e, ok := c.lru.Get(rawKey)
 	if ok {
-		c.lru.MoveToFront(e.elem)
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
+		c.hits++
 	} else {
-		c.misses.Add(1)
+		c.misses++
 	}
 	return e, ok
 }
@@ -95,21 +70,5 @@ func (c *rawCache) lookup(rawKey string) (*rawEntry, bool) {
 func (c *rawCache) store(rawKey, key string, req *core.WireRequest, funcs []*ir.Func) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[rawKey]; ok {
-		c.lru.MoveToFront(e.elem)
-		return
-	}
-	e := &rawEntry{rawKey: rawKey, key: key, req: req, funcs: funcs}
-	e.elem = c.lru.PushFront(e)
-	c.entries[rawKey] = e
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*rawEntry)
-		c.lru.Remove(back)
-		delete(c.entries, victim.rawKey)
-		c.evictions.Add(1)
-	}
+	c.lru.Add(rawKey, &rawEntry{key: key, req: req, funcs: funcs})
 }

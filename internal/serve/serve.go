@@ -34,6 +34,11 @@
 // degraded static-partition results are flagged in the response rather
 // than hidden, and SIGTERM drains gracefully: in-flight requests
 // finish, new ones are refused.
+//
+// Both bounded caches here — the raw-request cache in front of decoding
+// and the completed-flight LRU behind dedup — are one lru.Cache each,
+// the same type under funccache's body, function and rewrite tiers;
+// each is serialised by its owner's mutex.
 package serve
 
 import (
@@ -359,19 +364,19 @@ func (s *Server) Metrics() *Snapshot {
 
 // cacheStats snapshots the optional cache tiers (zero stats when a tier
 // is disabled).
-func (s *Server) cacheStats() cacheSnapshots {
-	var cs cacheSnapshots
+func (s *Server) cacheStats() TierStats {
+	var cs TierStats
 	if s.fcache != nil {
-		cs.Func = s.fcache.Stats()
+		cs.FuncCache = s.fcache.Stats()
 	}
 	if s.bodies != nil {
-		cs.Body = s.bodies.Stats()
+		cs.BodyCache = s.bodies.Stats()
 	}
 	if s.rewrites != nil {
-		cs.Rewrite = s.rewrites.Stats()
+		cs.RewriteCache = s.rewrites.Stats()
 	}
 	if s.raw != nil {
-		cs.Raw = s.raw.stats()
+		cs.RawCache = s.raw.stats()
 	}
 	return cs
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"npra/internal/core"
+	"npra/internal/lru"
 )
 
 // The deduplication layer. A flight is one engine invocation's worth of
@@ -47,16 +48,13 @@ type flightGroup struct {
 	// s.flightMu. Kept lock-free internally so join+enqueue can be made
 	// atomic with respect to abandon.
 	inflight map[string]*flight
-	cache    map[string]*flight
-	order    []string // cache keys, oldest first (LRU eviction order)
-	capacity int      // cache capacity; 0 disables the result cache
+	cache    *lru.Cache[string, *flight] // completed flights; capacity 0 disables
 }
 
 func newFlightGroup(capacity int) *flightGroup {
 	return &flightGroup{
 		inflight: make(map[string]*flight),
-		cache:    make(map[string]*flight),
-		capacity: capacity,
+		cache:    lru.New[string, *flight](capacity, nil),
 	}
 }
 
@@ -66,8 +64,7 @@ func (g *flightGroup) join(key string) (*flight, joinKind) {
 	if fl, ok := g.inflight[key]; ok {
 		return fl, joinInflight
 	}
-	if fl, ok := g.cache[key]; ok {
-		g.touch(key)
+	if fl, ok := g.cache.Get(key); ok {
 		return fl, joinCached
 	}
 	fl := &flight{key: key, done: make(chan struct{})}
@@ -81,18 +78,10 @@ func (g *flightGroup) join(key string) (*flight, joinKind) {
 func (g *flightGroup) complete(fl *flight, alloc *core.Allocation, err error) {
 	fl.alloc, fl.err = alloc, err
 	delete(g.inflight, fl.key)
-	if g.capacity <= 0 || err != nil || alloc == nil || alloc.Degraded {
+	if err != nil || alloc == nil || alloc.Degraded {
 		return
 	}
-	if _, ok := g.cache[fl.key]; !ok {
-		g.order = append(g.order, fl.key)
-	}
-	g.cache[fl.key] = fl
-	for len(g.order) > g.capacity {
-		victim := g.order[0]
-		g.order = g.order[1:]
-		delete(g.cache, victim)
-	}
+	g.cache.Add(fl.key, fl)
 }
 
 // abandon removes a leader's flight that never made it into the queue
@@ -101,15 +90,4 @@ func (g *flightGroup) complete(fl *flight, alloc *core.Allocation, err error) {
 // overload error instead of hanging.
 func (g *flightGroup) abandon(fl *flight) {
 	delete(g.inflight, fl.key)
-}
-
-// touch moves key to the most-recently-used end of the eviction order.
-func (g *flightGroup) touch(key string) {
-	for i, k := range g.order {
-		if k == key {
-			copy(g.order[i:], g.order[i+1:])
-			g.order[len(g.order)-1] = key
-			return
-		}
-	}
 }
