@@ -108,9 +108,10 @@ serve-bench-chaos:
 # alias mismatches (always enforced), every shape served, no 5xx, a
 # relocation share of rewrite-tier lookups at most 0.9 (under palette
 # thrash nearly every hit is a relocation; 1.0 would mean the exact
-# tier never worked), at most 8 evictions per request summed across the
-# three tiers, profile fairness within 60% of equal shares (profiles do
-# unequal work, so shares drift with speed), and a bounded p99.
+# tier never worked), at most 8 evictions per request summed over the
+# function, rewrite and body tiers, profile fairness within 60% of
+# equal shares (profiles do unequal work, so shares drift with speed),
+# and a bounded p99.
 .PHONY: serve-bench-adv
 serve-bench-adv:
 	$(GO) run ./cmd/nploadgen -adversarial -inprocess -requests 600 -c 2 \

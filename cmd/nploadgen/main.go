@@ -43,10 +43,10 @@
 // nearcollision — and the report classifies outcomes per shape and
 // watches the cache tiers' failure modes: relocation-storm share
 // (-max-reloc-share), cross-tier eviction thrash (-max-evict-per-req),
-// cross-profile raw-cache aliasing (always fatal), and DRR fairness
+// cross-profile result-cache aliasing (always fatal), and DRR fairness
 // under profile skew (-fair-tol, with -adv-solve-delay to make the
 // server the bottleneck). With -inprocess the server runs with tiny
-// cache tiers (-funccache-entries/-rewritecache-entries/-rawcache-entries)
+// function and rewrite tiers (-funccache-entries/-rewritecache-entries)
 // so those failure modes are actually reachable.
 package main
 
@@ -97,7 +97,6 @@ func main() {
 		advSolveDly  = flag.Duration("adv-solve-delay", 0, "per-Solve engine delay armed for -inprocess adversarial runs; >0 also serializes the engine so DRR fairness across profiles is observable")
 		fcEntries    = flag.Int("funccache-entries", 8, "function-cache entry bound for the -inprocess adversarial server (negative disables the tier)")
 		rwEntries    = flag.Int("rewritecache-entries", 16, "rewrite-cache entry bound for the -inprocess adversarial server (negative disables the tier)")
-		rawEntries   = flag.Int("rawcache-entries", 32, "raw-request-cache entry bound for the -inprocess adversarial server (negative disables the tier)")
 		maxRelocShre = flag.Float64("max-reloc-share", 0, "fail if relocation hits exceed this share of rewrite-tier lookups (0 disables; -adversarial only)")
 		maxEvictReq  = flag.Float64("max-evict-per-req", 0, "fail if cross-tier evictions per request exceed this (0 disables; -adversarial only)")
 
@@ -121,7 +120,7 @@ func main() {
 	if *adversarial {
 		err = runAdversarial(*url, *inprocess, *conc, *duration, *requests, *advProfiles,
 			*advHotRatio, *timeoutMS, *seed, *reportTo, *advSolveDly,
-			*fcEntries, *rwEntries, *rawEntries, *jobs,
+			*fcEntries, *rwEntries, *jobs,
 			*max5xx, *maxRelocShre, *maxEvictReq, *maxP99, *fairTol)
 	} else if *chaos {
 		err = runChaos(*url, *inprocess, *duration, *requests, *threads, *nreg,
@@ -274,14 +273,14 @@ func run(url string, inprocess bool, conc int, duration time.Duration, requests 
 // runAdversarial drives the cache-hostile workload: workers pinned to
 // heterogeneous hardware profiles rotate the adversarial generator
 // families against one server. With -inprocess the server runs with
-// deliberately tiny cache tiers (the -funccache-entries /
-// -rewritecache-entries / -rawcache-entries bounds) so the
-// eviction-thrash and relocation-storm gates measure the failure modes
-// they exist for, and each profile gets an equal DRR weight so the
-// fairness gate watches admission under profile skew.
+// deliberately tiny function and rewrite tiers (the -funccache-entries
+// and -rewritecache-entries bounds) so the eviction-thrash and
+// relocation-storm gates measure the failure modes they exist for, and
+// each profile gets an equal DRR weight so the fairness gate watches
+// admission under profile skew.
 func runAdversarial(url string, inprocess bool, conc int, duration time.Duration, requests int64,
 	profileSpec string, hotRatio float64, timeoutMS, seed int64, reportTo string,
-	solveDelay time.Duration, fcEntries, rwEntries, rawEntries, jobs int,
+	solveDelay time.Duration, fcEntries, rwEntries, jobs int,
 	max5xx int64, maxRelocShare, maxEvictPerReq, maxP99, fairTol float64) error {
 
 	profiles, err := loadgen.ParseProfiles(profileSpec)
@@ -298,7 +297,6 @@ func runAdversarial(url string, inprocess bool, conc int, duration time.Duration
 			Workers:             jobs,
 			FuncCacheEntries:    fcEntries,
 			RewriteCacheEntries: rwEntries,
-			RawCacheEntries:     rawEntries,
 			TenantWeights:       weights,
 		}
 		if solveDelay > 0 {

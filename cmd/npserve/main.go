@@ -4,8 +4,10 @@
 // Endpoints:
 //
 //	POST /allocate  — one allocation request (see core.WireRequest);
-//	                  identical requests share one engine invocation,
-//	                  queued requests run batched over the worker pool
+//	                  requests with the same canonical key, however
+//	                  their JSON is spelled, share one engine invocation
+//	                  (in flight or from the -cache result LRU); queued
+//	                  requests run batched over the worker pool
 //	GET  /metrics   — request/latency histograms, singleflight and
 //	                  batch counters, engine phase timings
 //	GET  /healthz   — 200 while serving, 503 while draining
@@ -17,7 +19,7 @@
 //
 //	npserve [-addr :8080] [-nreg 128] [-j N] [-queue 64] [-batch 4]
 //	        [-cache 256] [-funccache-entries 256] [-bodycache-entries 1024]
-//	        [-rewritecache-entries 1024] [-rawcache-entries 512]
+//	        [-rewritecache-entries 1024]
 //	        [-timeout 10s] [-max-timeout 60s] [-drain-timeout 30s]
 //	        [-tenant-queue 16] [-tenant-weights heavy=3,light=1]
 //	        [-shed-low 0.5] [-shed-normal 0.85]
@@ -57,7 +59,6 @@ func main() {
 		funcCache    = flag.Int("funccache-entries", 256, "function-level warm cache entries: distinct bodies whose analyses and Solve memos survive across requests (negative disables)")
 		bodyCache    = flag.Int("bodycache-entries", 1024, "compiled-body cache entries: parsed/generated thread bodies reused across requests (negative disables)")
 		rewCache     = flag.Int("rewritecache-entries", 1024, "rewrite-result cache entries: rewritten bodies keyed by (func, PR, SR, palette), shared frozen across requests (negative disables)")
-		rawCache     = flag.Int("rawcache-entries", 512, "raw-request cache entries: byte-identical request bodies skip JSON decoding and hashing (negative disables)")
 		timeout      = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTimeout   = flag.Duration("max-timeout", 60*time.Second, "cap on the per-request deadline")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
@@ -87,7 +88,6 @@ func main() {
 		FuncCacheEntries:    *funcCache,
 		BodyCacheEntries:    *bodyCache,
 		RewriteCacheEntries: *rewCache,
-		RawCacheEntries:     *rawCache,
 
 		MaxTenantQueue: *tenantQueue,
 		TenantWeights:  weights,
@@ -116,8 +116,8 @@ func run(ctx context.Context, addr string, cfg serve.Config, drainTimeout time.D
 			errc <- err
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "npserve: listening on %s (workers %d, queue %d, batch %d, cache %d, funccache %d, bodycache %d, rewritecache %d, rawcache %d)\n",
-		ln.Addr(), cfg.Workers, cfg.MaxQueue, cfg.MaxBatch, cfg.CacheEntries, cfg.FuncCacheEntries, cfg.BodyCacheEntries, cfg.RewriteCacheEntries, cfg.RawCacheEntries)
+	fmt.Fprintf(os.Stderr, "npserve: listening on %s (workers %d, queue %d, batch %d, cache %d, funccache %d, bodycache %d, rewritecache %d)\n",
+		ln.Addr(), cfg.Workers, cfg.MaxQueue, cfg.MaxBatch, cfg.CacheEntries, cfg.FuncCacheEntries, cfg.BodyCacheEntries, cfg.RewriteCacheEntries)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

@@ -5,7 +5,7 @@
 // (pr,sr)→Solution memo tables survive across requests (Cache).
 //
 // The request-level layers above (singleflight, the result LRU) only
-// help when two requests are byte-identical; this layer reuses work
+// help when two requests share a canonical key; this layer reuses work
 // whenever two *different* requests embed the same function body. A
 // request for "md5 x2 + url x2" replays everything a prior "md5 x4"
 // request computed: the analysis is shared read-only, and every Solve

@@ -1,6 +1,6 @@
 // Package lru is the one bounded least-recently-used map under every
-// npra cache tier: the raw-request and result caches in serve, and the
-// body, function and rewrite caches in funccache.
+// npra cache tier: the result cache in serve, and the body, function
+// and rewrite caches in funccache.
 //
 // A Cache takes no lock. Each tier already serialises its own access
 // (a tier mutex or a shard mutex), so the Cache adds no lock edges and
@@ -93,7 +93,7 @@ func (c *Cache[K, V]) unlink(n *node[K, V]) {
 }
 
 // Stats is the counter snapshot of a tier that counts plain hits and
-// misses over one Cache (the raw-request and body tiers).
+// misses over one Cache (the body tier).
 type Stats struct {
 	Hits      int64
 	Misses    int64

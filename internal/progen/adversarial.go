@@ -26,7 +26,7 @@ package progen
 //	                the seed: bodies differ in a single instruction, so
 //	                thousands of distinct sha256 keys index near-
 //	                identical content — hostile to every content-hashed
-//	                tier (raw LRU, body cache, func cache) at once.
+//	                tier (body cache, func cache, rewrite cache) at once.
 //
 // All shapes obey the structured generator's contract: deterministic
 // from (shape, seed, cfg), structurally halting (counted loops only),

@@ -241,15 +241,12 @@ type Snapshot struct {
 	TierStats
 }
 
-// TierStats holds the cache tiers' counters, snapshotted from the
-// Server's caches (zero when a tier is disabled): FuncCache, BodyCache
-// and RewriteCache are the function-granular tiers, RawCache the
-// byte-identical request fast path.
+// TierStats holds the function-granular cache tiers' counters,
+// snapshotted from the Server's caches (zero when a tier is disabled).
 type TierStats struct {
 	FuncCache    funccache.Stats
 	BodyCache    lru.Stats
 	RewriteCache funccache.RewriteCacheStats
-	RawCache     lru.Stats
 }
 
 // SingleflightHits returns in-flight joins plus cached joins: every
@@ -401,11 +398,6 @@ func (m *Metrics) render(queueDepth int, tenants []tenantDepth, cs TierStats) st
 	fmt.Fprintf(&b, "npserve_rewrite_cache_evictions %d\n", rc.Evictions)
 	fmt.Fprintf(&b, "npserve_rewrite_cache_entries %d\n", rc.Entries)
 	fmt.Fprintf(&b, "npserve_rewrite_cache_bytes %d\n", rc.Bytes)
-
-	fmt.Fprintf(&b, "npserve_raw_cache_hits %d\n", cs.RawCache.Hits)
-	fmt.Fprintf(&b, "npserve_raw_cache_misses %d\n", cs.RawCache.Misses)
-	fmt.Fprintf(&b, "npserve_raw_cache_evictions %d\n", cs.RawCache.Evictions)
-	fmt.Fprintf(&b, "npserve_raw_cache_entries %d\n", cs.RawCache.Entries)
 
 	phases := []struct {
 		name string

@@ -35,14 +35,14 @@
 // than hidden, and SIGTERM drains gracefully: in-flight requests
 // finish, new ones are refused.
 //
-// Both bounded caches here — the raw-request cache in front of decoding
-// and the completed-flight LRU behind dedup — are one lru.Cache each,
-// the same type under funccache's body, function and rewrite tiers;
-// each is serialised by its owner's mutex.
+// The completed-flight LRU behind dedup is the only request-level
+// cache: every request is identified by its canonical key alone, however
+// its JSON is spelled. It is one lru.Cache, the same type under
+// funccache's body, function and rewrite tiers, serialised by
+// Server.flightMu.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -92,9 +92,9 @@ type Config struct {
 
 	// FuncCacheEntries bounds the function-level warm cache (default
 	// 256 distinct bodies; negative disables it). Unlike the result LRU
-	// above — which only answers byte-identical requests — the function
-	// cache reuses analyses and allocator memo tables across *different*
-	// requests that embed the same thread bodies.
+	// above — which only answers requests with the same canonical key —
+	// the function cache reuses analyses and allocator memo tables
+	// across *different* requests that embed the same thread bodies.
 	FuncCacheEntries int
 
 	// BodyCacheEntries bounds the compiled-body cache (default 1024
@@ -109,12 +109,6 @@ type Config struct {
 	// code emission is a lookup (or a flat register relocation) instead
 	// of a re-run of the rewriter.
 	RewriteCacheEntries int
-
-	// RawCacheEntries bounds the raw-request cache (default 512
-	// requests; negative disables it): byte-identical request bodies
-	// skip JSON decoding, body compilation and canonical hashing — the
-	// request is keyed by one sha256 pass over the raw bytes.
-	RawCacheEntries int
 
 	// RetryAfter is the *floor* of the client backoff hint attached to
 	// 429/503 responses (default 1s, rounded up to whole seconds on the
@@ -187,12 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RewriteCacheEntries < 0 {
 		c.RewriteCacheEntries = 0
-	}
-	if c.RawCacheEntries == 0 {
-		c.RawCacheEntries = 512
-	}
-	if c.RawCacheEntries < 0 {
-		c.RawCacheEntries = 0
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
@@ -291,12 +279,6 @@ type Server struct {
 	bodies   *funccache.BodyCache
 	rewrites *funccache.RewriteCache
 
-	// raw short-circuits byte-identical request bodies past decoding and
-	// canonical hashing; bufPool recycles the request read buffers it
-	// (and the decode path) consume.
-	raw     *rawCache
-	bufPool sync.Pool
-
 	queue *fairQueue
 
 	// admit gates request admission against drain: every in-flight
@@ -328,13 +310,6 @@ func New(cfg Config) *Server {
 	}
 	if s.cfg.RewriteCacheEntries > 0 {
 		s.rewrites = funccache.NewRewriteCache(funccache.RewriteConfig{Entries: s.cfg.RewriteCacheEntries})
-	}
-	if s.cfg.RawCacheEntries > 0 {
-		s.raw = newRawCache(s.cfg.RawCacheEntries)
-	}
-	s.bufPool.New = func() any {
-		b := make([]byte, 0, 4096)
-		return &b
 	}
 	s.queue = newFairQueue(
 		s.cfg.MaxQueue,
@@ -374,9 +349,6 @@ func (s *Server) cacheStats() TierStats {
 	}
 	if s.rewrites != nil {
 		cs.RewriteCache = s.rewrites.Stats()
-	}
-	if s.raw != nil {
-		cs.RawCache = s.raw.stats()
 	}
 	return cs
 }
@@ -461,43 +433,19 @@ func (s *Server) allocate(r *http.Request, start time.Time) (int, any) {
 		return http.StatusServiceUnavailable, &core.WireError{Error: "server is draining", Kind: "draining"}
 	}
 
-	// Read the body once into a pooled buffer: the same raw bytes key
-	// the raw-request cache (one sha256 pass) and, on a miss, feed the
-	// JSON decoder. A byte-identical repeat skips decoding, body
-	// compilation and canonical hashing entirely.
-	bufp := s.bufPool.Get().(*[]byte)
-	defer s.bufPool.Put(bufp)
-	raw, rerr := readAllInto((*bufp)[:0], io.LimitReader(r.Body, s.cfg.MaxBodyBytes))
-	*bufp = raw[:0] // keep the grown capacity for the next request
-	if rerr != nil {
-		return http.StatusBadRequest, &core.WireError{Error: "bad request body: " + rerr.Error(), Kind: "invalid"}
+	dec := json.NewDecoder(io.LimitReader(r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	req := new(core.WireRequest)
+	if err := dec.Decode(req); err != nil {
+		return http.StatusBadRequest, &core.WireError{Error: "bad request body: " + err.Error(), Kind: "invalid"}
 	}
-
-	var req *core.WireRequest
-	var funcs []*ir.Func
-	var key, rawKey string
-	if s.raw != nil {
-		rawKey = rawRequestKey(raw)
-		if e, ok := s.raw.lookup(rawKey); ok {
-			// Cached state is shared read-only: the request is already
-			// normalized and must not be written through.
-			req, funcs, key = e.req, e.funcs, e.key
-		}
+	if dec.More() {
+		return http.StatusBadRequest, &core.WireError{Error: "trailing data after request object", Kind: "invalid"}
 	}
-	if req == nil {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		decoded := new(core.WireRequest)
-		if err := dec.Decode(decoded); err != nil {
-			return http.StatusBadRequest, &core.WireError{Error: "bad request body: " + err.Error(), Kind: "invalid"}
-		}
-		if dec.More() {
-			return http.StatusBadRequest, &core.WireError{Error: "trailing data after request object", Kind: "invalid"}
-		}
-		if decoded.NReg == 0 {
-			decoded.NReg = s.cfg.NReg
-		}
-		req = decoded
+	// Normalize before keying: an omitted nreg and an explicit server
+	// default are the same request.
+	if req.NReg == 0 {
+		req.NReg = s.cfg.NReg
 	}
 	tenant := r.Header.Get(TenantHeader)
 	if tenant == "" {
@@ -507,12 +455,9 @@ func (s *Server) allocate(r *http.Request, start time.Time) (int, any) {
 		return http.StatusBadRequest, &core.WireError{
 			Error: fmt.Sprintf("%s header exceeds %d bytes", TenantHeader, maxTenantLen), Kind: "invalid"}
 	}
-	if funcs == nil {
-		var err error
-		funcs, err = req.FuncsCached(s.compiledBodies())
-		if err != nil {
-			return statusOf(err), &core.WireError{Error: err.Error(), Kind: core.ErrorKind(err)}
-		}
+	funcs, err := req.FuncsCached(s.compiledBodies())
+	if err != nil {
+		return statusOf(err), &core.WireError{Error: err.Error(), Kind: core.ErrorKind(err)}
 	}
 
 	deadline := s.cfg.DefaultTimeout
@@ -550,16 +495,8 @@ func (s *Server) allocate(r *http.Request, start time.Time) (int, any) {
 	}
 
 	// Body-cache hits hand back frozen bodies that keep their content
-	// key, so keying a warm request hashes no body. A raw-cache hit
-	// arrives with the key already derived.
-	if key == "" {
-		key = req.CanonicalKey(funcs)
-		if s.raw != nil {
-			// Only fully-validated requests are cached, so errors are
-			// never replayed from the raw tier.
-			s.raw.store(rawKey, key, req, funcs)
-		}
-	}
+	// key, so keying a warm request hashes no body.
+	key := req.CanonicalKey(funcs)
 	fl, kind := s.joinOrEnqueue(key, req, funcs, tenant, deadline)
 	s.metrics.join(kind)
 	if kind == joinLeader || kind == joinInflight {
@@ -741,25 +678,6 @@ func retryAfterHint(depth int, perJob, floor time.Duration) int {
 		secs = 1
 	}
 	return secs
-}
-
-// readAllInto reads r to EOF into buf (appending from its current
-// length), reusing buf's capacity across requests via the caller's
-// pool. It is io.ReadAll with a caller-owned buffer.
-func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any, retryAfterSeconds int) {

@@ -559,24 +559,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		`npserve_latency_ms_bucket{le="+Inf"} 3`,
 		"npserve_queue_depth 0",
 		// One engine run over one body: a func-cache miss that installed
-		// one entry with one pooled allocator. The byte-identical
-		// duplicate was answered by the raw-request tier before decode,
-		// so the body cache saw only the first request (one miss, no
-		// hits); the bad-JSON request missed the raw tier and was never
-		// stored. The engine's one rewrite registered a canonical and a
-		// relocated body with the rewrite cache.
+		// one entry with one pooled allocator. The duplicate was decoded
+		// and compiled again, so the body cache saw one miss and one hit
+		// before the result LRU answered it; the bad-JSON request never
+		// reached the body cache. The engine's one rewrite registered a
+		// canonical and a relocated body with the rewrite cache.
 		"npserve_func_cache_hits 0",
 		"npserve_func_cache_misses 1",
 		"npserve_func_cache_entries 1",
 		"npserve_func_cache_idle 1",
-		"npserve_body_cache_hits 0",
+		"npserve_body_cache_hits 1",
 		"npserve_body_cache_misses 1",
 		"npserve_body_cache_entries 1",
 		"npserve_rewrite_cache_misses 1",
 		"npserve_rewrite_cache_entries 2",
-		"npserve_raw_cache_hits 1",
-		"npserve_raw_cache_misses 2",
-		"npserve_raw_cache_entries 1",
 		`npserve_engine_phase_ns{phase="rewrite_cached"} 0`,
 	} {
 		if !strings.Contains(string(text), want+"\n") {

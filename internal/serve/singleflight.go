@@ -43,9 +43,7 @@ const (
 )
 
 type flightGroup struct {
-	// Guarded by the Server's metrics-independent lock: flightGroup has
-	// its own mutex-free design — the Server serializes access through
-	// s.flightMu. Kept lock-free internally so join+enqueue can be made
+	// The caller holds Server.flightMu, which also makes join+enqueue
 	// atomic with respect to abandon.
 	inflight map[string]*flight
 	cache    *lru.Cache[string, *flight] // completed flights; capacity 0 disables

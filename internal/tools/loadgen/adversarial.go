@@ -4,7 +4,7 @@ package loadgen
 // cache-hostile progen shapes against one server, and the report
 // watches the failure modes the friendly kernel mix never reaches —
 // relocation storms in the rewrite tier, eviction thrash when the
-// caches are squeezed, raw-cache aliasing across register files, and
+// caches are squeezed, result-cache aliasing across register files, and
 // admission fairness when profiles skew the work size.
 //
 // Each worker is pinned to one hardware profile (its X-Tenant), so the
@@ -189,7 +189,7 @@ func (o *AdvOptions) advSpec(shape string, p HWProfile, seed int64) []byte {
 // AdvShapeStats classifies one shape family's outcomes. OK + Degraded +
 // Shed + Invalid + Timeout + FiveXX + Transport partitions Requests;
 // AliasMismatch counts 200s whose nreg did not match the submitted
-// profile — the raw-cache cross-profile aliasing canary — and is also
+// profile — the result-cache cross-profile aliasing canary — and is also
 // counted in OK/Degraded (the response was served, just suspect).
 type AdvShapeStats struct {
 	Requests      int64 `json:"requests"`
@@ -223,7 +223,7 @@ type AdvReport struct {
 	RelocShare float64 `json:"reloc_share"`
 
 	// EvictionsPerReq is the run's eviction delta summed over the
-	// function, rewrite and raw tiers, per request: the eviction-thrash
+	// function, rewrite and body tiers, per request: the eviction-thrash
 	// gate.
 	EvictionsPerReq float64 `json:"evictions_per_req"`
 
@@ -312,9 +312,9 @@ func RunAdversarial(ctx context.Context, opt AdvOptions) (*AdvReport, error) {
 	}
 
 	// Hot pools: PoolSize fixed specs per (shape, profile), shared by
-	// that profile's workers. Byte-identical repeats are what exercise
-	// the raw LRU — and what would surface aliasing if the raw key ever
-	// stopped covering the profile.
+	// that profile's workers. Repeats are what exercise the result LRU —
+	// and what would surface aliasing if the canonical key ever stopped
+	// covering the profile.
 	hot := make(map[string][][]byte, len(opt.Shapes)*len(opt.Profiles))
 	for _, shape := range opt.Shapes {
 		for pi, p := range opt.Profiles {
@@ -503,7 +503,7 @@ func RunAdversarial(ctx context.Context, opt AdvOptions) (*AdvReport, error) {
 	if rep.Requests > 0 {
 		rep.EvictionsPerReq = (delta("npserve_func_cache_evictions") +
 			delta("npserve_rewrite_cache_evictions") +
-			delta("npserve_raw_cache_evictions")) / float64(rep.Requests)
+			delta("npserve_body_cache_evictions")) / float64(rep.Requests)
 	}
 	return rep, nil
 }

@@ -17,7 +17,6 @@ func TestRunAdversarialSmoke(t *testing.T) {
 	s := serve.New(serve.Config{
 		FuncCacheEntries:    8,
 		RewriteCacheEntries: 16,
-		RawCacheEntries:     32,
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

@@ -185,7 +185,6 @@ func TestSoakAdversarial(t *testing.T) {
 		MaxQueue:            128,
 		FuncCacheEntries:    8,
 		RewriteCacheEntries: 16,
-		RawCacheEntries:     32,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
