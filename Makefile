@@ -15,9 +15,10 @@ vet:
 # (detlint), error taxonomy (errtaxonomy), panic-freedom (panicfree),
 # context plumbing (ctxplumb), scratch-pool aliasing (poolalias),
 # function-cache aliasing (cachealias), frozen rewrite-body mutation
-# (frozenfunc), sleep hygiene (sleeplint), and the CFG/dataflow
-# concurrency trio (lockorder, goleak, atomicmix), plus verification
-# of the //lint: directives themselves. The tree is loaded and
+# (frozenfunc), sleep hygiene (sleeplint), and the concurrency trio
+# (lockorder, goleak, atomicmix), plus verification of the //lint:
+# directives themselves. The three aliasing passes and the trio run on
+# the anz CFG/dataflow layer. The tree is loaded and
 # type-checked once and the eleven analyzers run concurrently over the
 # shared packages, so the suite costs barely more wall-clock than its
 # slowest pass. See docs/INTERNALS.md "Static invariants & linting".
@@ -34,11 +35,12 @@ test:
 	$(GO) test ./...
 
 # The packages with real concurrency: the worker pool, the allocator
-# fan-outs (setup, pricing, SRA sweep) that write per-index slots, and
-# the serving layer (singleflight, batching, drain).
+# fan-outs (setup, pricing, SRA sweep) that write per-index slots, the
+# serving layer (singleflight, batching, drain), and the analyzer suite,
+# whose eleven passes run concurrently over one shared load.
 .PHONY: race
 race:
-	$(GO) test -race ./internal/core/... ./internal/funccache/... ./internal/parallel/... ./internal/serve/...
+	$(GO) test -race ./internal/analyzers/... ./internal/core/... ./internal/funccache/... ./internal/parallel/... ./internal/serve/...
 
 # Short native-fuzzer runs: the allocation API with fault injection
 # armed from the input (catches panics and verification/semantics

@@ -1,8 +1,8 @@
 // Command npravet is the multichecker driver for the repository's
-// invariant analyzers (internal/analyzers): the PR-1..8 syntactic
-// passes (detlint, errtaxonomy, panicfree, ctxplumb, poolalias,
-// cachealias, sleeplint, frozenfunc) plus the PR-9 concurrency trio on
-// the CFG/dataflow layer (lockorder, goleak, atomicmix), plus
+// invariant analyzers (internal/analyzers): the syntactic passes
+// (detlint, errtaxonomy, panicfree, ctxplumb, sleeplint), the aliasing
+// passes (poolalias, cachealias, frozenfunc) and the concurrency trio
+// (lockorder, goleak, atomicmix) on the CFG/dataflow layer, plus
 // verification of the //lint:ignore / //lint:invariant directives
 // themselves.
 //

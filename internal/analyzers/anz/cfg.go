@@ -11,10 +11,10 @@ import (
 // This file is the first layer of the anz flow framework: a
 // per-function control-flow graph over go/ast. The paper's method is
 // static reasoning about shared resources across *all* interleavings,
-// not observed ones; the syntactic walks of the earlier analyzers
-// cannot see "lock held on this path but not that one", so the
-// concurrency-safety passes (lockorder, goleak, atomicmix) run on this
-// CFG plus the worklist solver in dataflow.go instead.
+// not observed ones; a syntactic walk cannot see "lock held on this
+// path but not that one", so the concurrency-safety passes (lockorder,
+// goleak, atomicmix) and the aliasing passes (through alias.go) run on
+// this CFG plus the worklist solver in dataflow.go instead.
 //
 // Shape: blocks hold statements and condition expressions in evaluation
 // order; edges carry control. The builder understands if/else with

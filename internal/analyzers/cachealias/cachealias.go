@@ -7,29 +7,28 @@
 // checkin are aliases into memory the caller no longer owns.
 //
 // Within each function of a consumer package (anything importing
-// intra), the pass flags, in source order:
+// intra), the pass flags, along the control-flow graph
+// (anz.AliasRule):
 //
 //   - a use of a local typed *intra.Piece, *intra.Context or
-//     *intra.Allocator bound before a checkin call that occurs between
-//     the binding and the use, and
+//     *intra.Allocator that a checkin may have reached since it was
+//     bound, and
 //   - such a pointer stored into a field, slice or map element (a
-//     structure that survives the call) when a checkin follows later in
-//     the same function.
+//     structure that survives the call) when a checkin is reachable
+//     from the store.
 //
-// A checkin is any direct call whose callee name contains "checkin"
-// (case-insensitive): the checkin func returned by
-// core.AllocatorSource.Checkout, funccache's checkinFunc closures, and
-// wrappers that keep the name. Calls inside defer statements or
-// function literals are NOT kills — the idiomatic `defer func() {
-// checkin(ok) }()` runs after every use in the function body, which is
-// exactly the discipline this pass enforces. Like poolalias, the check
-// is intraprocedural and position-ordered; justified exceptions carry a
-// //lint:ignore cachealias directive.
+// A checkin is a call through a function value — a local, parameter or
+// element, such as the checkin func core.AllocatorSource.Checkout
+// returns — whose name contains "checkin" (case-insensitive). A call
+// to a declared function or method is never one, so funccache's
+// checkinFunc constructor is not. A deferred checkin acts only at exit,
+// after every use in the body — the idiomatic `defer func() {
+// checkin(ok) }()` is exactly the discipline this pass enforces.
+// Justified exceptions carry a //lint:ignore cachealias directive.
 package cachealias
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -42,193 +41,35 @@ var Analyzer = &anz.Analyzer{
 	Doc: "flags *intra.Piece/Context/Allocator pointers that survive a function-cache " +
 		"checkin — after checkin the cache owns the allocator and may hand it to " +
 		"another request",
-	Run: run,
+	Run: rule.Run,
 }
 
-func run(pass *anz.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFunc(pass, fd)
-		}
-	}
-	return nil
-}
+// tracked are the intra types whose pointers the cache owns after a
+// checkin.
+var tracked = []string{"Piece", "Context", "Allocator"}
 
-func checkFunc(pass *anz.Pass, fd *ast.FuncDecl) {
-	kills := killPositions(fd)
-	if len(kills) == 0 {
-		return
-	}
-
-	// Locals bound to a tracked intra pointer: object -> binding
-	// positions (each use is judged against its latest binding).
-	bindings := make(map[types.Object][]token.Pos)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			var kind string
-			switch {
-			case len(as.Lhs) == len(as.Rhs):
-				kind = trackedIntraPtr(pass, as.Rhs[i])
-			case len(as.Rhs) == 1:
-				// Multi-value form — `al, checkin, err := src.Checkout(f)`
-				// is the canonical binding this pass exists for.
-				kind = trackedTupleElem(pass, as.Rhs[0], i)
+var rule = &anz.AliasRule{
+	Tracked: func(_ *anz.Pass, _ ast.Expr, t types.Type) bool {
+		return anz.NamedIn(t, "/intra", tracked...) != ""
+	},
+	Kill: func(pass *anz.Pass, call *ast.CallExpr) bool {
+		switch fun := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			if _, isVar := pass.Info.Uses[fun].(*types.Var); !isVar {
+				return false
 			}
-			if kind == "" {
-				continue
-			}
-			switch l := lhs.(type) {
-			case *ast.Ident:
-				if obj := pass.Info.ObjectOf(l); obj != nil {
-					bindings[obj] = append(bindings[obj], l.Pos())
-				}
-			case *ast.SelectorExpr, *ast.IndexExpr:
-				if k, found := killAfter(kills, lhs.Pos()); found {
-					pass.Reportf(lhs.Pos(), "*intra.%s stored into a structure that survives the later checkin at line %d; after checkin the cache owns the allocator and may hand it to another request — copy the data instead of aliasing it", kind, pass.Fset.Position(k.pos).Line)
-				}
-			}
-		}
-		return true
-	})
-	if len(bindings) == 0 {
-		return
-	}
-
-	// Uses: flag ident uses whose latest binding precedes a kill that
-	// precedes the use.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.Info.Uses[id]
-		binds, tracked := bindings[obj]
-		if !tracked {
-			return true
-		}
-		latest := token.NoPos
-		for _, b := range binds {
-			if b <= id.Pos() && b > latest {
-				latest = b
-			}
-		}
-		if latest == token.NoPos {
-			return true
-		}
-		for _, k := range kills {
-			if latest < k.pos && k.pos < id.Pos() {
-				pass.Reportf(id.Pos(), "use of %s bound before the checkin at line %d; a checked-in allocator may be reused concurrently or discarded by the function cache — finish with it before checkin, or rebind after", id.Name, pass.Fset.Position(k.pos).Line)
-				return true
-			}
-		}
-		return true
-	})
-}
-
-type kill struct {
-	pos token.Pos
-}
-
-// killPositions collects the direct (non-deferred) checkin calls in
-// fd's body. Calls inside defer statements or function literals are
-// skipped: a deferred checkin runs after every use in the enclosing
-// body, and a closure's calls are judged when the closure itself runs,
-// not at its definition site.
-func killPositions(fd *ast.FuncDecl) []kill {
-	var kills []kill
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt, *ast.FuncLit:
+		case *ast.IndexExpr:
+		default:
 			return false
-		case *ast.CallExpr:
-			if isCheckinName(calleeName(n)) {
-				kills = append(kills, kill{pos: n.Pos()})
-			}
 		}
-		return true
-	}
-	ast.Inspect(fd.Body, walk)
-	return kills
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
-func isCheckinName(name string) bool {
-	return strings.Contains(strings.ToLower(name), "checkin")
-}
-
-func killAfter(kills []kill, pos token.Pos) (kill, bool) {
-	for _, k := range kills {
-		if k.pos > pos {
-			return k, true
+		return strings.Contains(strings.ToLower(anz.ExprPath(call.Fun)), "checkin")
+	},
+	Stale: func(pass *anz.Pass, _ *ast.FuncDecl, at ast.Expr, kill *ast.CallExpr) {
+		line := pass.Fset.Position(kill.Pos()).Line
+		if id, ok := at.(*ast.Ident); ok {
+			pass.Reportf(id.Pos(), "use of %s bound before the checkin at line %d; a checked-in allocator may be reused concurrently or discarded by the function cache — finish with it before checkin, or rebind after", id.Name, line)
+			return
 		}
-	}
-	return kill{}, false
-}
-
-// trackedNames are the intra types whose pointers the cache owns after
-// a checkin.
-var trackedNames = map[string]bool{"Piece": true, "Context": true, "Allocator": true}
-
-// trackedTupleElem is trackedIntraPtr for element i of a multi-value
-// expression (a call returning a tuple).
-func trackedTupleElem(pass *anz.Pass, expr ast.Expr, i int) string {
-	tv, ok := pass.Info.Types[expr]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	tup, ok := tv.Type.(*types.Tuple)
-	if !ok || i >= tup.Len() {
-		return ""
-	}
-	return trackedPtrType(tup.At(i).Type())
-}
-
-// trackedIntraPtr reports the type name ("Piece", "Context",
-// "Allocator") when expr's static type is a pointer to one of intra's
-// cache-owned named types, and "" otherwise. The package is matched by
-// import-path suffix so fixtures can stub intra.
-func trackedIntraPtr(pass *anz.Pass, expr ast.Expr) string {
-	tv, ok := pass.Info.Types[expr]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	return trackedPtrType(tv.Type)
-}
-
-// trackedPtrType implements the type test on a types.Type.
-func trackedPtrType(t types.Type) string {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return ""
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "/intra") {
-		return ""
-	}
-	if !trackedNames[obj.Name()] {
-		return ""
-	}
-	return obj.Name()
+		pass.Reportf(at.Pos(), "*intra.%s stored into a structure that survives the later checkin at line %d; after checkin the cache owns the allocator and may hand it to another request — copy the data instead of aliasing it", anz.NamedIn(pass.Info.TypeOf(at), "/intra", tracked...), line)
+	},
 }

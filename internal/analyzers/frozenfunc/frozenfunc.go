@@ -15,8 +15,10 @@
 //   - the body returned by a RewriteSource's LookupRewrite or
 //     StoreRewrite (always frozen before it becomes visible),
 //
-// plus locals bound to either. Within each function of a consumer
-// package the pass flags, on tracked values:
+// plus locals that may be bound to either on some path (anz.AliasRule:
+// a body cloned on one branch only may still be shared at the join).
+// Within each function of a consumer package the pass flags, on
+// tracked values:
 //
 //   - calls to the mutating methods Build and RenumberRegs, and
 //   - writes through the body: assignments to its fields or to
@@ -24,16 +26,13 @@
 //
 // Replacing the pointer itself (th.F = g) is not a mutation of the
 // shared body and is not flagged; neither is mutating a Clone — the
-// clone is caller-owned. Like its siblings the check is intraprocedural
-// and type-driven; justified exceptions carry a //lint:ignore
+// clone is caller-owned. Justified exceptions carry a //lint:ignore
 // frozenfunc directive.
 package frozenfunc
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 
 	"npra/internal/analyzers/anz"
 )
@@ -43,7 +42,7 @@ var Analyzer = &anz.Analyzer{
 	Name: "frozenfunc",
 	Doc: "flags in-place mutation of cache-shared rewritten bodies (ThreadAlloc.F, " +
 		"RewriteSource results) — frozen funcs are shared by pointer across requests",
-	Run: run,
+	Run: rule.Run,
 }
 
 // mutators are ir.Func's in-place mutating methods.
@@ -53,217 +52,46 @@ var mutators = map[string]bool{"Build": true, "RenumberRegs": true}
 // result is a cache-shared body.
 var rewriteSourceMethods = map[string]bool{"LookupRewrite": true, "StoreRewrite": true}
 
-func run(pass *anz.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFunc(pass, fd)
-		}
-	}
-	return nil
-}
-
-func checkFunc(pass *anz.Pass, fd *ast.FuncDecl) {
-	// Locals bound to a cache-shared body. Position-ordered like the
-	// sibling passes: a use is judged against its latest preceding
-	// binding, so rebinding a name to a fresh Clone clears its taint
-	// for later uses only.
-	bindings := make(map[types.Object][]binding)
-	tracked := trackSet{pass: pass, bindings: bindings}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			shared := false
-			switch {
-			case len(as.Lhs) == len(as.Rhs):
-				shared = sharedBodyExpr(pass, as.Rhs[i], tracked)
-			case len(as.Rhs) == 1 && i == 0:
-				// Multi-value form — `body, stats, ok :=
-				// rc.LookupRewrite(...)` binds the body first.
-				if call, isCall := as.Rhs[0].(*ast.CallExpr); isCall {
-					shared = rewriteSourceMethods[calleeName(call)] && funcPtrType(pass, call, 0)
-				}
-			}
-			if obj := pass.Info.ObjectOf(id); obj != nil {
-				bindings[obj] = append(bindings[obj], binding{pos: id.Pos(), shared: shared})
-			}
-		}
-		return true
-	})
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok || !mutators[sel.Sel.Name] {
-				return true
-			}
-			if sharedBodyExpr(pass, sel.X, tracked) {
-				pass.Reportf(n.Pos(), "%s on a cache-shared rewritten body; frozen funcs are shared by pointer across requests — work on a Clone instead", sel.Sel.Name)
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if root, hit := writeThroughShared(pass, lhs, tracked); hit {
-					pass.Reportf(lhs.Pos(), "write through the cache-shared rewritten body %s; frozen funcs are shared by pointer across requests — mutate a Clone instead", exprString(root))
-				}
-			}
-		}
-		return true
-	})
-}
-
-// binding is one (re)binding of a local: its position and whether the
-// bound value is cache-shared.
-type binding struct {
-	pos    token.Pos
-	shared bool
-}
-
-// trackSet resolves whether an identifier denotes a cache-shared body
-// at a given use position: the latest binding at or before the use
-// decides.
-type trackSet struct {
-	pass     *anz.Pass
-	bindings map[types.Object][]binding
-}
-
-func (t trackSet) sharedAt(id *ast.Ident) bool {
-	obj := t.pass.Info.ObjectOf(id)
-	if obj == nil {
-		return false
-	}
-	latest := binding{pos: token.NoPos}
-	for _, b := range t.bindings[obj] {
-		if b.pos <= id.Pos() && b.pos > latest.pos {
-			latest = b
-		}
-	}
-	return latest.pos != token.NoPos && latest.shared
-}
-
-// writeThroughShared reports whether an assignment target reaches
-// through a cache-shared body: a field or element of the body (not the
-// body-valued expression itself, whose reassignment only swaps a
-// pointer). Returns the shared root for the diagnostic.
-func writeThroughShared(pass *anz.Pass, lhs ast.Expr, tracked trackSet) (ast.Expr, bool) {
-	for {
-		var base ast.Expr
-		switch l := lhs.(type) {
-		case *ast.SelectorExpr:
-			base = l.X
-		case *ast.IndexExpr:
-			base = l.X
-		case *ast.StarExpr:
-			base = l.X
-		case *ast.ParenExpr:
-			lhs = l.X
-			continue
-		default:
-			return nil, false
-		}
-		if sharedBodyExpr(pass, base, tracked) {
-			return base, true
-		}
-		lhs = base
-	}
-}
-
-// sharedBodyExpr reports whether expr denotes a cache-shared *ir.Func:
-// a ThreadAlloc.F selection, a RewriteSource call result, or a local
-// tracked as one at this position.
-func sharedBodyExpr(pass *anz.Pass, expr ast.Expr, tracked trackSet) bool {
-	switch e := expr.(type) {
-	case *ast.ParenExpr:
-		return sharedBodyExpr(pass, e.X, tracked)
-	case *ast.Ident:
-		return tracked.sharedAt(e)
-	case *ast.SelectorExpr:
-		return e.Sel.Name == "F" && threadAllocType(pass, e.X)
-	case *ast.CallExpr:
-		return rewriteSourceMethods[calleeName(e)] && funcPtrType(pass, e, -1)
-	}
-	return false
-}
-
-// threadAllocType reports whether expr's static type is
-// core.ThreadAlloc or a pointer to it (package matched by import-path
-// suffix so fixtures can stub core).
-func threadAllocType(pass *anz.Pass, expr ast.Expr) bool {
-	tv, ok := pass.Info.Types[expr]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "ThreadAlloc" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "/core")
-}
-
-// funcPtrType reports whether call's result — element i of its tuple,
-// or its single value when i is -1 — is a *ir.Func (package matched by
-// import-path suffix).
-func funcPtrType(pass *anz.Pass, call *ast.CallExpr, i int) bool {
-	tv, ok := pass.Info.Types[call]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if tup, isTup := t.(*types.Tuple); isTup {
-		if i < 0 || i >= tup.Len() {
+var rule = &anz.AliasRule{
+	// A ThreadAlloc.F selection or a RewriteSource call result.
+	Tracked: func(pass *anz.Pass, e ast.Expr, t types.Type) bool {
+		if anz.NamedIn(t, "/ir", "Func") == "" {
 			return false
 		}
-		t = tup.At(i).Type()
-	} else if i > 0 {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			return e.Sel.Name == "F" && anz.NamedIn(pass.Info.TypeOf(e.X), "/core", "ThreadAlloc") != ""
+		case *ast.CallExpr:
+			sel, ok := e.Fun.(*ast.SelectorExpr)
+			return ok && rewriteSourceMethods[sel.Sel.Name]
+		}
 		return false
-	}
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Func" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "/ir")
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
-func exprString(expr ast.Expr) string {
-	switch e := expr.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[...]"
-	case *ast.ParenExpr:
-		return exprString(e.X)
-	}
-	return "body"
+	},
+	Check: func(pass *anz.Pass, n ast.Expr, held func(ast.Expr) bool) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && mutators[sel.Sel.Name] && held(sel.X) {
+				pass.Reportf(call.Pos(), "%s on a cache-shared rewritten body; frozen funcs are shared by pointer across requests — work on a Clone instead", sel.Sel.Name)
+			}
+			return
+		}
+		// An assignment target writes through a shared body when one of
+		// its bases (not the target itself: th.F = g swaps a pointer) is
+		// shared.
+		for lhs := n; ; {
+			switch l := ast.Unparen(lhs).(type) {
+			case *ast.SelectorExpr:
+				lhs = l.X
+			case *ast.IndexExpr:
+				lhs = l.X
+			case *ast.StarExpr:
+				lhs = l.X
+			default:
+				return
+			}
+			if held(lhs) {
+				pass.Reportf(n.Pos(), "write through the cache-shared rewritten body %s; frozen funcs are shared by pointer across requests — mutate a Clone instead", anz.ExprPath(lhs))
+				return
+			}
+		}
+	},
 }

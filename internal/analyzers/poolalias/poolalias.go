@@ -6,24 +6,22 @@
 // coalesce left stale *Piece values in the compacted tail of a reused
 // slice).
 //
-// Within each function of the intra package the pass flags, in source
-// order:
+// Within each function of the intra package the pass flags, along the
+// control-flow graph (anz.AliasRule):
 //
-//   - a use of a *Piece-typed local bound before a copyFrom/Reset call
-//     that occurs between the binding and the use, and
+//   - a use of a *Piece-typed local that a copyFrom/Reset may have
+//     reached since it was bound, and
 //   - a *Piece value stored into a field, slice or map element (a
-//     structure that survives the call) when a copyFrom/Reset follows
-//     later in the same function.
+//     structure that survives the call) when a copyFrom/Reset is
+//     reachable from the store.
 //
-// The check is intraprocedural and position-ordered, so a rebinding
-// after the reuse point is fine; false positives (e.g. pieces taken
-// from a context that is provably not the one being reset) carry a
-// //lint:ignore poolalias justification.
+// A rebinding after the reuse point is fine; false positives (e.g.
+// pieces taken from a context that is provably not the one being
+// reset) carry a //lint:ignore poolalias justification.
 package poolalias
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -35,149 +33,33 @@ var Analyzer = &anz.Analyzer{
 	Name: "poolalias",
 	Doc: "flags *intra.Piece pointers that survive a scratch-context copyFrom/Reset " +
 		"— the PR-3 stale-alias bug class",
-	Run: run,
+	Run: func(pass *anz.Pass) error {
+		if !strings.HasSuffix(pass.Path, "/intra") {
+			return nil
+		}
+		return rule.Run(pass)
+	},
 }
 
-// killNames are the methods that recycle a context's piece storage.
-var killNames = map[string]bool{"copyFrom": true, "Reset": true}
-
-func run(pass *anz.Pass) error {
-	if !strings.HasSuffix(pass.Path, "/intra") {
-		return nil
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFunc(pass, fd)
+var rule = &anz.AliasRule{
+	Tracked: func(_ *anz.Pass, _ ast.Expr, t types.Type) bool {
+		return anz.NamedIn(t, "/intra", "Piece") != ""
+	},
+	Kill: func(_ *anz.Pass, call *ast.CallExpr) bool { return killName(call) != "" },
+	Stale: func(pass *anz.Pass, fn *ast.FuncDecl, at ast.Expr, kill *ast.CallExpr) {
+		if id, ok := at.(*ast.Ident); ok {
+			pass.Reportf(id.Pos(), "use of *Piece %s bound before the %s at line %d; the scratch-context reuse invalidates pooled piece pointers (PR-3 aliasing bug class) — rebind after the reuse or copy the data", id.Name, killName(kill), pass.Fset.Position(kill.Pos()).Line)
+			return
 		}
-	}
-	return nil
+		pass.Reportf(at.Pos(), "*Piece stored into a structure that survives a later %s in %s; the pointer dangles once the pooled backing is reused — copy the piece data instead of aliasing it", killName(kill), fn.Name.Name)
+	},
 }
 
-func checkFunc(pass *anz.Pass, fd *ast.FuncDecl) {
-	kills := killPositions(pass, fd)
-	if len(kills) == 0 {
-		return
+// killName names the method when call recycles a context's piece
+// storage (copyFrom or Reset), and is "" otherwise.
+func killName(call *ast.CallExpr) string {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "copyFrom" || sel.Sel.Name == "Reset") {
+		return sel.Sel.Name
 	}
-
-	// Locals bound to a *Piece: object -> binding positions (a local may
-	// be rebound; each use is judged against its latest binding).
-	bindings := make(map[types.Object][]token.Pos)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			if !isPiecePtr(pass, as.Rhs[i]) {
-				continue
-			}
-			switch l := lhs.(type) {
-			case *ast.Ident:
-				if obj := pass.Info.ObjectOf(l); obj != nil {
-					bindings[obj] = append(bindings[obj], l.Pos())
-				}
-			case *ast.SelectorExpr, *ast.IndexExpr:
-				// Stored into a surviving structure: unsafe if any
-				// copyFrom/Reset follows in this function.
-				if killAfter(kills, lhs.Pos()) {
-					pass.Reportf(lhs.Pos(), "*Piece stored into a structure that survives a later %s in %s; the pointer dangles once the pooled backing is reused — copy the piece data instead of aliasing it", killNameAfter(pass, fd, kills, lhs.Pos()), fd.Name.Name)
-				}
-			}
-		}
-		return true
-	})
-	if len(bindings) == 0 {
-		return
-	}
-
-	// Uses: flag ident uses whose latest binding precedes a kill that
-	// precedes the use.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.Info.Uses[id]
-		binds, tracked := bindings[obj]
-		if !tracked {
-			return true
-		}
-		latest := token.NoPos
-		for _, b := range binds {
-			if b <= id.Pos() && b > latest {
-				latest = b
-			}
-		}
-		if latest == token.NoPos {
-			return true
-		}
-		for _, k := range kills {
-			if latest < k.pos && k.pos < id.Pos() {
-				pass.Reportf(id.Pos(), "use of *Piece %s bound before the %s at line %d; the scratch-context reuse invalidates pooled piece pointers (PR-3 aliasing bug class) — rebind after the reuse or copy the data", id.Name, k.name, pass.Fset.Position(k.pos).Line)
-				return true
-			}
-		}
-		return true
-	})
-}
-
-type kill struct {
-	pos  token.Pos
-	name string
-}
-
-func killPositions(pass *anz.Pass, fd *ast.FuncDecl) []kill {
-	var kills []kill
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && killNames[sel.Sel.Name] {
-			kills = append(kills, kill{pos: call.Pos(), name: sel.Sel.Name})
-		}
-		return true
-	})
-	return kills
-}
-
-func killAfter(kills []kill, pos token.Pos) bool {
-	for _, k := range kills {
-		if k.pos > pos {
-			return true
-		}
-	}
-	return false
-}
-
-func killNameAfter(pass *anz.Pass, fd *ast.FuncDecl, kills []kill, pos token.Pos) string {
-	for _, k := range kills {
-		if k.pos > pos {
-			return k.name
-		}
-	}
-	return "reuse"
-}
-
-// isPiecePtr reports whether expr's static type is *Piece for the
-// Piece named type of the package under analysis.
-func isPiecePtr(pass *anz.Pass, expr ast.Expr) bool {
-	tv, ok := pass.Info.Types[expr]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	ptr, ok := tv.Type.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Piece" && obj.Pkg() == pass.Pkg
+	return ""
 }

@@ -6,9 +6,10 @@
 // it is not a general-purpose linter. Each pass documents the PR that
 // established the invariant it enforces; docs/INTERNALS.md "Static
 // invariants & linting" is the user-facing index. The PR-9 trio
-// (lockorder, goleak, atomicmix) runs on the anz CFG/dataflow layer
-// rather than plain AST walks — see the "Dataflow framework"
-// subsection there before writing a new analyzer.
+// (lockorder, goleak, atomicmix) and the aliasing passes (poolalias,
+// cachealias, frozenfunc, through the shared anz.AliasRule core) run on
+// the anz CFG/dataflow layer rather than plain AST walks — see the
+// "Dataflow framework" subsection there before writing a new analyzer.
 package analyzers
 
 import (

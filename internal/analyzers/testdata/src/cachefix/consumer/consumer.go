@@ -85,3 +85,45 @@ func RebindAfterCheckin(src *intra.Source) int {
 	defer func() { checkin2(true) }()
 	return cost + al2.Solve(2, 4)
 }
+
+// pool builds checkin closures the way funccache's checkinFunc does.
+type pool struct{ src *intra.Source }
+
+func (p *pool) checkinFunc(al *intra.Allocator) func(bool) { return func(bool) {} }
+
+// ConstructCheckin calls the constructor, which checks nothing in: only
+// the call through the returned func does, after the last use. Allowed.
+func ConstructCheckin(p *pool) int {
+	al, _, err := p.src.Checkout()
+	if err != nil {
+		return 0
+	}
+	checkin := p.checkinFunc(al)
+	cost := al.Solve(4, 2)
+	checkin(true)
+	return cost
+}
+
+// CheckinInClosure defines a literal that checks in; defining it checks
+// nothing in, so the use after the definition is fine.
+func CheckinInClosure(src *intra.Source) int {
+	al, checkin, err := src.Checkout()
+	if err != nil {
+		return 0
+	}
+	finish := func() { checkin(true) }
+	cost := al.Solve(4, 2)
+	finish()
+	return cost
+}
+
+// RetainContextDeferred stores an alias that the deferred checkin
+// invalidates at exit: flagged, since the structure outlives the call.
+func RetainContextDeferred(k *keep, src *intra.Source) {
+	al, checkin, err := src.Checkout()
+	if err != nil {
+		return
+	}
+	defer checkin(true)
+	k.ctx = al.Context() // want `\*intra\.Context stored into a structure that survives the later checkin`
+}

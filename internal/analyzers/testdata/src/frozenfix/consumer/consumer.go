@@ -71,3 +71,13 @@ func RebindClearsTaint(t *core.ThreadAlloc) {
 func SwapPointer(t *core.ThreadAlloc, g *ir.Func) {
 	t.F = g
 }
+
+// RebindOnOneBranch clones on one branch only, so at the join f may
+// still be the shared body.
+func RebindOnOneBranch(t *core.ThreadAlloc, c bool) {
+	f := t.F
+	if c {
+		f = f.Clone()
+	}
+	f.NumRegs = 1 // want `write through the cache-shared rewritten body f`
+}

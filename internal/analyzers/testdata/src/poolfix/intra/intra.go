@@ -68,3 +68,36 @@ func NoKills(ctx *Context) int {
 	q := ctx.piece(1)
 	return p.Color + q.Color
 }
+
+// LoopCarried binds p before the loop; the copyFrom at the bottom of one
+// iteration recycles the backing p reads at the top of the next.
+func LoopCarried(dst, src *Context, n int) int {
+	p := dst.piece(0)
+	sum := 0
+	for i := 0; i < n; i++ {
+		sum += p.Color // want `use of \*Piece p bound before the copyFrom`
+		dst.copyFrom(src)
+	}
+	return sum
+}
+
+// KillOnReturningBranch recycles only on a branch that returns, so the
+// use on the other branch still reads live storage: allowed.
+func KillOnReturningBranch(dst, src *Context, c bool) int {
+	p := dst.piece(0)
+	if c {
+		dst.copyFrom(src)
+		return 0
+	}
+	return p.Color
+}
+
+// ClosureAfterReuse defines a literal after the copyFrom: its body sees
+// p as it is where the literal is defined, already stale.
+func ClosureAfterReuse(dst, src *Context) func() int {
+	p := dst.piece(0)
+	dst.copyFrom(src)
+	return func() int {
+		return p.Color // want `use of \*Piece p bound before the copyFrom`
+	}
+}

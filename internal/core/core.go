@@ -95,8 +95,6 @@ type ThreadAlloc struct {
 
 	F     *ir.Func // rewritten code over physical registers
 	Stats intra.RewriteStats
-
-	sol *intra.Solution
 }
 
 // Allocation is the result for a whole processing unit.
@@ -574,7 +572,6 @@ func finalize(ctx context.Context, funcs []*ir.Func, als []*intra.Allocator, pr,
 			PrivBase:   base,
 			F:          nf,
 			Stats:      stats,
-			sol:        sols[i],
 		})
 		base += pr[i]
 	}

@@ -230,7 +230,6 @@ func (c *Cache) Checkout(f *ir.Func) (*intra.Allocator, func(ok bool), error) {
 				return nil, nil, err
 			}
 		}
-		//lint:ignore cachealias checkinFunc constructs the checkin closure; nothing has been checked in yet
 		return al, c.checkinFunc(key, al), nil
 	}
 
@@ -239,7 +238,6 @@ func (c *Cache) Checkout(f *ir.Func) (*intra.Allocator, func(ok bool), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	//lint:ignore cachealias checkinFunc constructs the checkin closure; nothing has been checked in yet
 	return al, c.checkinFunc(key, al), nil
 }
 

@@ -218,13 +218,21 @@ func TestPanicSerialRaw(t *testing.T) {
 // not hang waiting for the poisoned fan-out.
 func TestPanicStopsHandout(t *testing.T) {
 	var calls atomic.Int64
+	// Item 0 announces its panic before raising it, and every other item
+	// waits for that and then lingers: otherwise, while the panicking
+	// goroutine is descheduled, the other workers drain the whole range
+	// before the stop flag is up.
+	dying := make(chan struct{})
 	func() {
 		defer func() { recover() }()
 		ForEach(4, 100_000, func(i int) {
 			calls.Add(1)
 			if i == 0 {
+				close(dying)
 				panic("die")
 			}
+			<-dying
+			time.Sleep(time.Millisecond)
 		})
 	}()
 	if c := calls.Load(); c > 10_000 {
