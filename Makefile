@@ -110,8 +110,9 @@ serve-bench-chaos:
 # alias mismatches (always enforced), every shape served, no 5xx, a
 # relocation share of rewrite-tier lookups at most 0.9 (under palette
 # thrash nearly every hit is a relocation; 1.0 would mean the exact
-# tier never worked), at most 8 evictions per request summed over the
-# function, rewrite and body tiers, profile fairness within 60% of
+# tier never worked), at most 8 evictions per request summed over
+# function-cache records, rewrites (by the 32-per-body bound or with
+# their record) and bodies, profile fairness within 60% of
 # equal shares (profiles do unequal work, so shares drift with speed),
 # and a bounded p99.
 .PHONY: serve-bench-adv

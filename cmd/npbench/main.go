@@ -43,7 +43,7 @@ func main() {
 		list       = flag.Bool("list", false, "list built-in benchmarks")
 		phases     = flag.Bool("phases", false, "run a pressured ARA allocation and print the per-phase timing breakdown")
 		funccacheP = flag.Bool("funccache", false, "with -phases: run the allocation twice through a function cache (cold, then warm) and report the warm speedup")
-		rewEntries = flag.Int("rewritecache-entries", 1024, "with -phases -funccache: rewrite-result cache entries (negative disables the rewrite tier)")
+		rewrites   = flag.Bool("rewritecache", true, "with -phases -funccache: also serve the rewrite phase from the function cache (false rewrites every thread afresh)")
 		maxRWShare = flag.Float64("max-warm-rewrite-share", 0, "with -phases -funccache: fail unless the warm run's rewrite+rewrite_cached share of wall-clock stays at or below this fraction (0 disables the gate)")
 		packets    = flag.Int("packets", experiments.DefaultPackets, "packets per thread")
 		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for experiment fan-out (1 = serial; results are identical for any value)")
@@ -83,7 +83,7 @@ func main() {
 		defer rtrace.Stop()
 	}
 
-	err := run(*table, *figure, *ablations, *scaling, *all, *list, *phases, *funccacheP, *packets, *rewEntries, *maxRWShare)
+	err := run(*table, *figure, *ablations, *scaling, *all, *list, *phases, *funccacheP, *packets, *rewrites, *maxRWShare)
 
 	if *memprofile != "" {
 		f, ferr := os.Create(*memprofile)
@@ -109,7 +109,7 @@ func main() {
 	}
 }
 
-func run(table, figure int, ablations, scaling, all, list, phases, funccacheP bool, packets, rewEntries int, maxRWShare float64) error {
+func run(table, figure int, ablations, scaling, all, list, phases, funccacheP bool, packets int, rewrites bool, maxRWShare float64) error {
 	if list {
 		fmt.Println("built-in benchmarks:")
 		for _, b := range bench.All() {
@@ -118,7 +118,7 @@ func run(table, figure int, ablations, scaling, all, list, phases, funccacheP bo
 		return nil
 	}
 	if phases {
-		return runPhases(packets, funccacheP, rewEntries, maxRWShare)
+		return runPhases(packets, funccacheP, rewrites, maxRWShare)
 	}
 	ran := false
 	if all || table == 1 {
@@ -183,11 +183,11 @@ func run(table, figure int, ablations, scaling, all, list, phases, funccacheP bo
 // workload: two md5 threads plus two fir2dim threads squeezed into 56
 // registers) and prints where the wall-clock time went, phase by phase.
 // With warm set it runs the allocation twice through one function cache
-// and one rewrite-result cache — cold, then warm — printing both
-// breakdowns and the warm speedup. A non-zero maxRWShare gates the warm
-// run: its rewrite+rewrite_cached share of wall-clock must stay at or
-// below that fraction.
-func runPhases(packets int, warm bool, rewEntries int, maxRWShare float64) error {
+// — cold, then warm — printing both breakdowns and the warm speedup;
+// rewrites also serves the rewrite phase from that cache. A non-zero
+// maxRWShare gates the warm run: its rewrite+rewrite_cached share of
+// wall-clock must stay at or below that fraction.
+func runPhases(packets int, warm, rewrites bool, maxRWShare float64) error {
 	var funcs []*ir.Func
 	for _, n := range []string{"md5", "md5", "fir2dim", "fir2dim"} {
 		b, err := bench.Get(n)
@@ -199,13 +199,11 @@ func runPhases(packets int, warm bool, rewEntries int, maxRWShare float64) error
 	const pressureNReg = 56 // forces greedy reduction rounds
 	cfg := core.Config{NReg: pressureNReg}
 	var cache *funccache.Cache
-	var rewrites *funccache.RewriteCache
 	if warm {
 		cache = funccache.New(funccache.Config{})
 		cfg.FuncCache = cache
-		if rewEntries >= 0 {
-			rewrites = funccache.NewRewriteCache(funccache.RewriteConfig{Entries: rewEntries})
-			cfg.RewriteCache = rewrites
+		if rewrites {
+			cfg.RewriteCache = cache
 		}
 	}
 	runOnce := func(label string) (*core.Allocation, time.Duration, error) {
@@ -251,10 +249,9 @@ func runPhases(packets int, warm bool, rewEntries int, maxRWShare float64) error
 	}
 	st := cache.Stats()
 	fmt.Printf("\n  func cache: %d hits, %d misses, %d entries\n", st.Hits, st.Misses, st.Entries)
-	if rewrites != nil {
-		rst := rewrites.Stats()
+	if rewrites {
 		fmt.Printf("  rewrite cache: %d hits, %d reloc hits, %d misses, %d entries\n",
-			rst.Hits, rst.RelocHits, rst.Misses, rst.Entries)
+			st.RewriteHits, st.RewriteRelocHits, st.RewriteMisses, st.RewriteEntries)
 	}
 	fmt.Printf("  warm speedup: %.1fx (%s -> %s), rewrites bit-identical\n",
 		float64(coldNS)/float64(warmNS), coldNS.Round(time.Microsecond), warmNS.Round(time.Microsecond))

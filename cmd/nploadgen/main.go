@@ -45,9 +45,9 @@
 // (-max-reloc-share), cross-tier eviction thrash (-max-evict-per-req),
 // cross-profile result-cache aliasing (always fatal), and DRR fairness
 // under profile skew (-fair-tol, with -adv-solve-delay to make the
-// server the bottleneck). With -inprocess the server runs with tiny
-// function and rewrite tiers (-funccache-entries/-rewritecache-entries)
-// so those failure modes are actually reachable.
+// server the bottleneck). With -inprocess the server runs with a tiny
+// function cache (-funccache-entries bodies, each with its rewrites) so
+// those failure modes are actually reachable.
 package main
 
 import (
@@ -95,8 +95,7 @@ func main() {
 		advProfiles  = flag.String("adv-profiles", "ara24=24,sra64=64x3,ara128=128", "hardware profiles as name=nreg[xnthd],... (each profile is also its workers' X-Tenant)")
 		advHotRatio  = flag.Float64("hot-ratio", 0.5, "fraction of adversarial requests drawn from the hot spec pool")
 		advSolveDly  = flag.Duration("adv-solve-delay", 0, "per-Solve engine delay armed for -inprocess adversarial runs; >0 also serializes the engine so DRR fairness across profiles is observable")
-		fcEntries    = flag.Int("funccache-entries", 8, "function-cache entry bound for the -inprocess adversarial server (negative disables the tier)")
-		rwEntries    = flag.Int("rewritecache-entries", 16, "rewrite-cache entry bound for the -inprocess adversarial server (negative disables the tier)")
+		fcEntries    = flag.Int("funccache-entries", 8, "function-cache body bound for the -inprocess adversarial server (negative disables the tier and its rewrites)")
 		maxRelocShre = flag.Float64("max-reloc-share", 0, "fail if relocation hits exceed this share of rewrite-tier lookups (0 disables; -adversarial only)")
 		maxEvictReq  = flag.Float64("max-evict-per-req", 0, "fail if cross-tier evictions per request exceed this (0 disables; -adversarial only)")
 
@@ -120,7 +119,7 @@ func main() {
 	if *adversarial {
 		err = runAdversarial(*url, *inprocess, *conc, *duration, *requests, *advProfiles,
 			*advHotRatio, *timeoutMS, *seed, *reportTo, *advSolveDly,
-			*fcEntries, *rwEntries, *jobs,
+			*fcEntries, *jobs,
 			*max5xx, *maxRelocShre, *maxEvictReq, *maxP99, *fairTol)
 	} else if *chaos {
 		err = runChaos(*url, *inprocess, *duration, *requests, *threads, *nreg,
@@ -273,14 +272,14 @@ func run(url string, inprocess bool, conc int, duration time.Duration, requests 
 // runAdversarial drives the cache-hostile workload: workers pinned to
 // heterogeneous hardware profiles rotate the adversarial generator
 // families against one server. With -inprocess the server runs with
-// deliberately tiny function and rewrite tiers (the -funccache-entries
-// and -rewritecache-entries bounds) so the eviction-thrash and
+// a deliberately tiny function cache (the -funccache-entries bound, which
+// also bounds the rewrites its records hold) so the eviction-thrash and
 // relocation-storm gates measure the failure modes they exist for, and
 // each profile gets an equal DRR weight so the fairness gate watches
 // admission under profile skew.
 func runAdversarial(url string, inprocess bool, conc int, duration time.Duration, requests int64,
 	profileSpec string, hotRatio float64, timeoutMS, seed int64, reportTo string,
-	solveDelay time.Duration, fcEntries, rwEntries, jobs int,
+	solveDelay time.Duration, fcEntries, jobs int,
 	max5xx int64, maxRelocShare, maxEvictPerReq, maxP99, fairTol float64) error {
 
 	profiles, err := loadgen.ParseProfiles(profileSpec)
@@ -294,10 +293,9 @@ func runAdversarial(url string, inprocess bool, conc int, duration time.Duration
 			weights[p.Name] = 1
 		}
 		cfg := serve.Config{
-			Workers:             jobs,
-			FuncCacheEntries:    fcEntries,
-			RewriteCacheEntries: rwEntries,
-			TenantWeights:       weights,
+			Workers:          jobs,
+			FuncCacheEntries: fcEntries,
+			TenantWeights:    weights,
 		}
 		if solveDelay > 0 {
 			// Fairness is only observable with a backlog: serialize the

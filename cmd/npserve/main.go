@@ -19,7 +19,6 @@
 //
 //	npserve [-addr :8080] [-nreg 128] [-j N] [-queue 64] [-batch 4]
 //	        [-cache 256] [-funccache-entries 256] [-bodycache-entries 1024]
-//	        [-rewritecache-entries 1024]
 //	        [-timeout 10s] [-max-timeout 60s] [-drain-timeout 30s]
 //	        [-tenant-queue 16] [-tenant-weights heavy=3,light=1]
 //	        [-shed-low 0.5] [-shed-normal 0.85]
@@ -45,6 +44,7 @@ import (
 	"syscall"
 	"time"
 
+	"npra/internal/funccache"
 	"npra/internal/serve"
 )
 
@@ -56,9 +56,8 @@ func main() {
 		queue        = flag.Int("queue", 64, "admission queue bound; beyond it requests get 429")
 		batch        = flag.Int("batch", 4, "max queued requests per engine invocation (1 disables batching)")
 		cache        = flag.Int("cache", 256, "completed-result cache entries (negative disables)")
-		funcCache    = flag.Int("funccache-entries", 256, "function-level warm cache entries: distinct bodies whose analyses and Solve memos survive across requests (negative disables)")
+		funcCache    = flag.Int("funccache-entries", 256, "function-level warm cache entries: distinct bodies whose analyses, Solve memos and rewritten code survive across requests (negative disables)")
 		bodyCache    = flag.Int("bodycache-entries", 1024, "compiled-body cache entries: parsed/generated thread bodies reused across requests (negative disables)")
-		rewCache     = flag.Int("rewritecache-entries", 1024, "rewrite-result cache entries: rewritten bodies keyed by (func, PR, SR, palette), shared frozen across requests (negative disables)")
 		timeout      = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTimeout   = flag.Duration("max-timeout", 60*time.Second, "cap on the per-request deadline")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
@@ -85,9 +84,8 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 
-		FuncCacheEntries:    *funcCache,
-		BodyCacheEntries:    *bodyCache,
-		RewriteCacheEntries: *rewCache,
+		FuncCacheEntries: *funcCache,
+		BodyCacheEntries: *bodyCache,
 
 		MaxTenantQueue: *tenantQueue,
 		TenantWeights:  weights,
@@ -116,8 +114,8 @@ func run(ctx context.Context, addr string, cfg serve.Config, drainTimeout time.D
 			errc <- err
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "npserve: listening on %s (workers %d, queue %d, batch %d, cache %d, funccache %d, bodycache %d, rewritecache %d)\n",
-		ln.Addr(), cfg.Workers, cfg.MaxQueue, cfg.MaxBatch, cfg.CacheEntries, cfg.FuncCacheEntries, cfg.BodyCacheEntries, cfg.RewriteCacheEntries)
+	fmt.Fprintf(os.Stderr, "npserve: listening on %s (workers %d, queue %d, batch %d, cache %d, funccache %d x %d rewrites, bodycache %d)\n",
+		ln.Addr(), cfg.Workers, cfg.MaxQueue, cfg.MaxBatch, cfg.CacheEntries, cfg.FuncCacheEntries, funccache.RewritesPerBody, cfg.BodyCacheEntries)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

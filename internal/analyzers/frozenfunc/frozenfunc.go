@@ -1,6 +1,6 @@
-// Package frozenfunc enforces the PR-8 rewrite-cache immutability
-// contract: a rewritten body that may have come from a RewriteCache is
-// shared by pointer across requests and engine threads, so mutating it
+// Package frozenfunc enforces the rewrite-cache immutability contract:
+// a rewritten body that may have come from a core.RewriteSource (the
+// function cache's records) is shared by pointer across requests and engine threads, so mutating it
 // in place corrupts every concurrent holder. The runtime side freezes
 // cached bodies (ir.Func.Freeze makes Build error and RenumberRegs
 // panic); this pass catches the same class of bug at build time, before

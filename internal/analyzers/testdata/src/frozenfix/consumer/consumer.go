@@ -31,8 +31,8 @@ func WriteElement(t *core.ThreadAlloc) {
 }
 
 // MutateLookupResult mutates the body a rewrite cache served.
-func MutateLookupResult(rc core.RewriteSource, f *ir.Func) {
-	body, _, ok := rc.LookupRewrite(f, 2, 1, 0, 2)
+func MutateLookupResult(rc core.RewriteSource, key string) {
+	body, _, ok := rc.LookupRewrite(key, 2, 1, 0, 2)
 	if !ok {
 		return
 	}
@@ -40,8 +40,8 @@ func MutateLookupResult(rc core.RewriteSource, f *ir.Func) {
 }
 
 // MutateStoreResult mutates the relocated body StoreRewrite returned.
-func MutateStoreResult(rc core.RewriteSource, f, canon *ir.Func) {
-	body := rc.StoreRewrite(f, 2, 1, 0, 2, canon, core.RewriteStats{})
+func MutateStoreResult(rc core.RewriteSource, key string, canon *ir.Func) {
+	body := rc.StoreRewrite(key, 2, 1, 0, 2, canon, core.RewriteStats{})
 	body.RenumberRegs() // want `RenumberRegs on a cache-shared rewritten body`
 }
 

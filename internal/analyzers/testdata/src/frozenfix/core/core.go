@@ -20,6 +20,6 @@ type RewriteStats struct {
 }
 
 type RewriteSource interface {
-	LookupRewrite(f *ir.Func, pr, sr int, privBase, sharedBase ir.Reg) (*ir.Func, RewriteStats, bool)
-	StoreRewrite(f *ir.Func, pr, sr int, privBase, sharedBase ir.Reg, canonical *ir.Func, stats RewriteStats) *ir.Func
+	LookupRewrite(key string, pr, sr int, privBase, sharedBase ir.Reg) (*ir.Func, RewriteStats, bool)
+	StoreRewrite(key string, pr, sr int, privBase, sharedBase ir.Reg, canonical *ir.Func, stats RewriteStats) *ir.Func
 }

@@ -74,9 +74,10 @@ type Config struct {
 
 	// RewriteCache, when non-nil, memoizes the rewrite phase: finalize
 	// consults it before emitting code and registers canonical-palette
-	// emissions with it on a miss (internal/funccache.RewriteCache is the
-	// process-wide implementation). Cached bodies are frozen and shared
-	// by pointer; the result is textually identical to a fresh rewrite.
+	// emissions with it on a miss (internal/funccache.Cache is the
+	// process-wide implementation; one Cache serves as FuncCache too).
+	// Cached bodies are frozen and shared by pointer; the result is
+	// textually identical to a fresh rewrite.
 	// Nil rewrites every thread from scratch (into a per-call ir.Arena).
 	// The degrade path never consults the cache.
 	RewriteCache RewriteSource
@@ -199,10 +200,14 @@ func allocateARA(ctx context.Context, funcs []*ir.Func, cfg Config) (*Allocation
 	// probes become cache hits. groups lists, per distinct body, the
 	// member thread indices in ascending order; all fan-out below is
 	// per group, because an allocator is not safe for concurrent use.
+	// keys holds each thread's FuncKey, hashed here once for the whole
+	// run: the caches behind cfg take it instead of hashing again.
 	var groups [][]int
+	keys := make([]string, n)
 	byCode := make(map[string]int)
 	for i, f := range funcs {
 		key := f.Key()
+		keys[i] = key
 		g, ok := byCode[key]
 		if !ok {
 			g = len(groups)
@@ -241,7 +246,7 @@ func allocateARA(ctx context.Context, funcs []*ir.Func, cfg Config) (*Allocation
 	// groups, so the setup fans out.
 	if _, err := parallel.MapErr(ctx, workers, len(groups), func(g int) (struct{}, error) {
 		f0 := funcs[groups[g][0]]
-		al, checkin, err := acquire(cfg, f0)
+		al, checkin, err := acquire(cfg, f0, keys[groups[g][0]])
 		if err != nil {
 			return struct{}{}, fmt.Errorf("core: thread %d (%s): %w", groups[g][0], f0.Name, err)
 		}
@@ -466,7 +471,7 @@ func allocateARA(ctx context.Context, funcs []*ir.Func, cfg Config) (*Allocation
 	if err := faultinject.Fire(ctx, faultinject.SiteFinalize); err != nil {
 		return nil, err
 	}
-	alloc, err := finalize(ctx, funcs, als, pr, sr, sols, cfg)
+	alloc, err := finalize(ctx, funcs, keys, als, pr, sr, sols, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -485,14 +490,15 @@ func allocateARA(ctx context.Context, funcs []*ir.Func, cfg Config) (*Allocation
 // bounded last resort and must not itself be cancelable.
 //
 // With cfg.RewriteCache set, each thread's body is looked up by
-// (FuncKey, PR, SR, privBase, sharedBase) and — on a miss — emitted
+// (keys[i], PR, SR, privBase, sharedBase), keys[i] being funcs[i]'s
+// FuncKey (keys may be nil without a cache), and — on a miss — emitted
 // once in canonical form (identity palette) and registered with the
 // cache, which relocates it onto the concrete palette. Cache time is
 // booked under RewriteCachedNS, fresh emission under RewriteNS. With no
 // cache the bodies are emitted directly into a per-call ir.Arena so the
 // cold path costs the collector a few slabs instead of one allocation
 // per block.
-func finalize(ctx context.Context, funcs []*ir.Func, als []*intra.Allocator, pr, sr []int, sols []*intra.Solution, cfg Config) (*Allocation, error) {
+func finalize(ctx context.Context, funcs []*ir.Func, keys []string, als []*intra.Allocator, pr, sr []int, sols []*intra.Solution, cfg Config) (*Allocation, error) {
 	n := len(funcs)
 	nreg := cfg.NReg
 	alloc := &Allocation{NReg: nreg}
@@ -526,7 +532,7 @@ func finalize(ctx context.Context, funcs []*ir.Func, als []*intra.Allocator, pr,
 		var stats intra.RewriteStats
 		if rc := cfg.RewriteCache; rc != nil {
 			privBase, shBase := ir.Reg(base), ir.Reg(sharedBase)
-			if hit, hstats, ok := rc.LookupRewrite(funcs[i], pr[i], sr[i], privBase, shBase); ok {
+			if hit, hstats, ok := rc.LookupRewrite(keys[i], pr[i], sr[i], privBase, shBase); ok {
 				nf, stats = hit, hstats
 				alloc.Phases.RewriteCachedNS += time.Since(rwStart).Nanoseconds()
 			} else {
@@ -541,7 +547,7 @@ func finalize(ctx context.Context, funcs []*ir.Func, als []*intra.Allocator, pr,
 				if err != nil {
 					return nil, internalf("thread %d (%s): rewrite: %v", i, funcs[i].Name, err)
 				}
-				nf = rc.StoreRewrite(funcs[i], pr[i], sr[i], privBase, shBase, canon, cstats)
+				nf = rc.StoreRewrite(keys[i], pr[i], sr[i], privBase, shBase, canon, cstats)
 				stats = cstats
 				alloc.Phases.RewriteNS += time.Since(rwStart).Nanoseconds()
 			}
@@ -622,7 +628,11 @@ func AllocateSRACtx(ctx context.Context, f *ir.Func, nthd int, cfg Config) (*All
 
 func allocateSRA(ctx context.Context, f *ir.Func, nthd int, cfg Config) (*Allocation, error) {
 	workers := parallel.Workers(cfg.Workers)
-	al, checkin, err := acquire(cfg, f)
+	key := ""
+	if cfg.FuncCache != nil || cfg.RewriteCache != nil {
+		key = f.Key() // the one hash of the body the caches share
+	}
+	al, checkin, err := acquire(cfg, f, key)
 	if err != nil {
 		return nil, err
 	}
@@ -742,14 +752,15 @@ func allocateSRA(ctx context.Context, f *ir.Func, nthd int, cfg Config) (*Alloca
 		return nil, err
 	}
 	funcs := make([]*ir.Func, nthd)
+	keys := make([]string, nthd)
 	als := make([]*intra.Allocator, nthd)
 	prs := make([]int, nthd)
 	srs := make([]int, nthd)
 	sols := make([]*intra.Solution, nthd)
 	for i := 0; i < nthd; i++ {
-		funcs[i], als[i], prs[i], srs[i], sols[i] = f, al, bestPR, bestSR, bestSol
+		funcs[i], keys[i], als[i], prs[i], srs[i], sols[i] = f, key, al, bestPR, bestSR, bestSol
 	}
-	alloc, err := finalize(ctx, funcs, als, prs, srs, sols, cfg)
+	alloc, err := finalize(ctx, funcs, keys, als, prs, srs, sols, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -102,7 +102,7 @@ func staticPartition(funcs []*ir.Func, cfg Config) (alloc *Allocation, err error
 	// the last resort should not depend on shared state either.
 	dcfg := cfg
 	dcfg.RewriteCache = nil
-	alloc, err = finalize(context.Background(), funcs, als, pr, sr, sols, dcfg)
+	alloc, err = finalize(context.Background(), funcs, nil, als, pr, sr, sols, dcfg)
 	if err != nil {
 		return nil, err
 	}

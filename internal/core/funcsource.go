@@ -19,7 +19,9 @@ import (
 // AllocatorSource supplies intra-thread allocators for function bodies.
 // Checkout returns an allocator that is exclusively the caller's until
 // checkin runs; a warm source returns allocators whose memo tables
-// survive from earlier checkouts of the same body.
+// survive from earlier checkouts of the same body. key is FuncKey(f),
+// which the engine has already computed: a source must not hash the
+// body again.
 //
 // checkin(ok) must be called exactly once when the caller is done, with
 // ok reporting whether the allocation completed cleanly: an allocator
@@ -29,12 +31,13 @@ import (
 // from it; memoized Solutions and their Contexts remain valid (they are
 // immutable once memoized).
 type AllocatorSource interface {
-	Checkout(f *ir.Func) (al *intra.Allocator, checkin func(ok bool), err error)
+	Checkout(f *ir.Func, key string) (al *intra.Allocator, checkin func(ok bool), err error)
 }
 
 // RewriteSource supplies rewritten (physical-register) bodies for
-// (function, grant, palette) tuples. The rewritten body is a pure
-// function of (FuncKey(f), pr, sr, privBase, sharedBase) for the
+// (function, grant, palette) tuples, the function given by its key
+// FuncKey(f). The rewritten body is a pure function of
+// (key, pr, sr, privBase, sharedBase) for the
 // default-mode allocators the engine builds — Solve is bit-identical
 // for a given analysis and budget, and the rewriter's decisions depend
 // only on color equality — so a source may serve one emission to any
@@ -46,15 +49,16 @@ type AllocatorSource interface {
 // identity-palette emission (phys[c] = c) and returns the body
 // relocated onto the requested palette.
 type RewriteSource interface {
-	LookupRewrite(f *ir.Func, pr, sr int, privBase, sharedBase ir.Reg) (body *ir.Func, stats intra.RewriteStats, ok bool)
-	StoreRewrite(f *ir.Func, pr, sr int, privBase, sharedBase ir.Reg, canonical *ir.Func, stats intra.RewriteStats) *ir.Func
+	LookupRewrite(key string, pr, sr int, privBase, sharedBase ir.Reg) (body *ir.Func, stats intra.RewriteStats, ok bool)
+	StoreRewrite(key string, pr, sr int, privBase, sharedBase ir.Reg, canonical *ir.Func, stats intra.RewriteStats) *ir.Func
 }
 
-// acquire returns the allocator for f: from the configured source when
-// one is set, freshly built otherwise (with a no-op checkin).
-func acquire(cfg Config, f *ir.Func) (*intra.Allocator, func(bool), error) {
+// acquire returns the allocator for f, whose key is key: from the
+// configured source when one is set, freshly built otherwise (with a
+// no-op checkin).
+func acquire(cfg Config, f *ir.Func, key string) (*intra.Allocator, func(bool), error) {
 	if cfg.FuncCache != nil {
-		return cfg.FuncCache.Checkout(f)
+		return cfg.FuncCache.Checkout(f, key)
 	}
 	al, err := intra.New(f)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // many of their analyses the collector has freed.
 type finalizingSource struct{ freed atomic.Int32 }
 
-func (s *finalizingSource) Checkout(f *ir.Func) (*intra.Allocator, func(bool), error) {
+func (s *finalizingSource) Checkout(f *ir.Func, _ string) (*intra.Allocator, func(bool), error) {
 	al, err := intra.New(f)
 	if err != nil {
 		return nil, nil, err

@@ -38,16 +38,16 @@ func advFunc(t *testing.T, shape progen.Shape, seed int64) *ir.Func {
 
 // TestAdversarialCachedDifferential is the acceptance-criteria sweep:
 // for every adversarial generator, 100 seeded requests through the
-// production cache wiring (function cache feeding a deliberately tiny
-// rewrite cache) must match a direct, cache-free run bit for bit —
-// grants, textual rewrites and interpreter behavior (diffAllocs) — and
+// production cache wiring (one deliberately tiny function cache whose
+// records also hold the rewrites) must match a direct, cache-free run
+// bit for bit — grants, textual rewrites and interpreter behavior
+// (diffAllocs) — and
 // the caches must actually have been stressed (hits AND evictions).
 func TestAdversarialCachedDifferential(t *testing.T) {
 	for _, shape := range progen.Shapes() {
 		shape := shape
 		t.Run(string(shape), func(t *testing.T) {
 			cache := New(Config{Entries: 4, MaxIdle: 1, Shards: 1})
-			rc := NewRewriteCache(RewriteConfig{Entries: 8})
 			for i := int64(0); i < 100; i++ {
 				// A fixed hot request (so both the function tier and the
 				// budget-keyed rewrite tier see genuine reuse) alternates
@@ -64,7 +64,7 @@ func TestAdversarialCachedDifferential(t *testing.T) {
 					nreg = 16 + int(i/2%2)*32 // heterogeneous profiles: 16/48
 				}
 				direct, directErr := core.AllocateARA(funcs, core.Config{NReg: nreg})
-				cached, cachedErr := core.AllocateARA(funcs, core.Config{NReg: nreg, FuncCache: cache, RewriteCache: rc})
+				cached, cachedErr := core.AllocateARA(funcs, core.Config{NReg: nreg, FuncCache: cache, RewriteCache: cache})
 				if (directErr == nil) != (cachedErr == nil) {
 					t.Fatalf("request %d: direct err %v vs cached err %v", i, directErr, cachedErr)
 				}
@@ -75,12 +75,12 @@ func TestAdversarialCachedDifferential(t *testing.T) {
 					t.Fatalf("request %d (nreg %d): %v", i, nreg, err)
 				}
 			}
-			fst, rst := cache.Stats(), rc.Stats()
-			if fst.Hits == 0 || rst.Hits+rst.RelocHits == 0 {
-				t.Errorf("caches never hit (func %+v, rewrite %+v): differential proved nothing", fst, rst)
+			st := cache.Stats()
+			if st.Hits == 0 || st.RewriteHits+st.RewriteRelocHits == 0 {
+				t.Errorf("caches never hit (%+v): differential proved nothing", st)
 			}
-			if fst.Evictions == 0 || rst.Evictions == 0 {
-				t.Errorf("caches never evicted (func %+v, rewrite %+v): thrash regime not reached", fst, rst)
+			if st.Evictions == 0 || st.RewriteEvictions == 0 {
+				t.Errorf("caches never evicted (%+v): thrash regime not reached", st)
 			}
 		})
 	}
@@ -141,7 +141,7 @@ func TestFuncCacheNoStaleReuseAfterEviction(t *testing.T) {
 	fa := advFunc(t, progen.ShapeBoundary, 1)
 	exercise(t, c, fa, true) // install A with one pooled allocator
 
-	al, checkin, err := c.Checkout(fa) // hold A's warm allocator out
+	al, checkin, err := c.Checkout(fa, fa.Key()) // hold A's warm allocator out
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestFuncCacheNoStaleReuseAfterEviction(t *testing.T) {
 		t.Fatalf("Discards = %d, want %d: stale allocator was not discarded", st.Discards, preDiscards+1)
 	}
 
-	al2, checkin2, err := c.Checkout(fa)
+	al2, checkin2, err := c.Checkout(fa, fa.Key())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +166,17 @@ func TestFuncCacheNoStaleReuseAfterEviction(t *testing.T) {
 	checkin2(true)
 }
 
-// TestRewriteCacheEvictionThrashTiny squeezes the rewrite tier to 1–2
-// entries so every allocation evicts: the same stream run twice stays
-// bit-identical (diffAllocs against a direct run each step), counters
-// replay exactly, evictions are monotone and bytes track live entries
+// TestRewriteCacheEvictionThrashTiny squeezes the cache to 1–2 bodies
+// so every allocation evicts a record and the rewrites it holds: the
+// same stream run twice stays bit-identical (diffAllocs against a
+// direct run each step), counters replay exactly, evictions are
+// monotone, entries stay within the bound and bytes track live entries
 // without going negative.
 func TestRewriteCacheEvictionThrashTiny(t *testing.T) {
 	for _, capn := range []int{1, 2} {
 		t.Run(fmt.Sprintf("cap%d", capn), func(t *testing.T) {
-			run := func() RewriteCacheStats {
-				rc := NewRewriteCache(RewriteConfig{Entries: capn})
+			run := func() Stats {
+				rc := New(Config{Entries: capn, Shards: 1})
 				prev := int64(0)
 				for i := int64(0); i < 16; i++ {
 					funcs := []*ir.Func{advFunc(t, progen.ShapeTrampoline, i%4)}
@@ -183,7 +184,7 @@ func TestRewriteCacheEvictionThrashTiny(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cached, err := core.AllocateARA(funcs, core.Config{NReg: 32, RewriteCache: rc})
+					cached, err := core.AllocateARA(funcs, core.Config{NReg: 32, FuncCache: rc, RewriteCache: rc})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -191,15 +192,15 @@ func TestRewriteCacheEvictionThrashTiny(t *testing.T) {
 						t.Fatalf("request %d: %v", i, derr)
 					}
 					st := rc.Stats()
-					if st.Evictions < prev {
-						t.Fatalf("step %d: evictions regressed %d -> %d", i, prev, st.Evictions)
+					if st.RewriteEvictions < prev {
+						t.Fatalf("step %d: evictions regressed %d -> %d", i, prev, st.RewriteEvictions)
 					}
-					prev = st.Evictions
-					if st.Entries > int64(capn) {
-						t.Fatalf("step %d: %d entries exceeds cap %d", i, st.Entries, capn)
+					prev = st.RewriteEvictions
+					if st.Entries > int64(capn) || st.RewriteEntries > int64(capn*RewritesPerBody) {
+						t.Fatalf("step %d: %d bodies, %d rewrites exceeds cap %d", i, st.Entries, st.RewriteEntries, capn)
 					}
-					if st.Bytes < 0 {
-						t.Fatalf("step %d: Bytes = %d went negative", i, st.Bytes)
+					if st.RewriteBytes < 0 {
+						t.Fatalf("step %d: RewriteBytes = %d went negative", i, st.RewriteBytes)
 					}
 				}
 				return rc.Stats()
@@ -208,7 +209,7 @@ func TestRewriteCacheEvictionThrashTiny(t *testing.T) {
 			if a != b {
 				t.Errorf("run-twice stats differ: %+v vs %+v", a, b)
 			}
-			if a.Evictions == 0 {
+			if a.RewriteEvictions == 0 {
 				t.Errorf("stats = %+v: stream over cap %d never evicted", a, capn)
 			}
 		})
@@ -221,7 +222,7 @@ func TestRewriteCacheEvictionThrashTiny(t *testing.T) {
 // serves an equivalent body rather than resurrecting the dead pointer's
 // storage mutated in place.
 func TestRewriteCacheNoStaleReuseAfterEviction(t *testing.T) {
-	rc := NewRewriteCache(RewriteConfig{Entries: 1})
+	rc := New(Config{Entries: 1, Shards: 1})
 	funcs := []*ir.Func{advFunc(t, progen.ShapeNearCollision, 5)}
 	first, err := core.AllocateARA(funcs, core.Config{NReg: 32, RewriteCache: rc})
 	if err != nil {

@@ -11,8 +11,8 @@ package funccache
 // contract the sharing relies on is enforced, not just promised. A
 // frozen body computes its content key (ir.Func.Key) on first use and
 // keeps it, so every later request that keys a cached body — request
-// canonicalization, the function and rewrite tiers — reads a stored
-// string instead of re-hashing the body. Build errors are returned to
+// canonicalization, the engine's grouping loop, whose key the function
+// cache takes — reads a stored string instead of re-hashing the body. Build errors are returned to
 // the caller and never cached.
 
 import (

@@ -1,50 +1,57 @@
 // Package funccache lifts caching from request granularity to function
-// granularity: a process-wide, sharded, bounded LRU of per-function
-// engine artifacts — the compiled ir.Func (BodyCache), its analysis
-// (liveness/NSR/interference graph) and warm intra.Allocators whose
-// (pr,sr)→Solution memo tables survive across requests (Cache).
+// granularity. It has two tiers:
+//
+//   - BodyCache: the compiled ir.Func, keyed by the thread's source
+//     spec (masm text or progen spec, plus the name), so a body seen
+//     before is neither re-assembled nor re-generated.
+//   - Cache: one record per function body, keyed by the body's content
+//     key. A record holds everything the engine derives from that body
+//     alone: its analysis (liveness/NSR/interference graph), warm
+//     intra.Allocators whose (pr,sr)→Solution memo tables survive
+//     across requests, and its rewritten code per grant and palette.
 //
 // The request-level layers above (singleflight, the result LRU) only
 // help when two requests share a canonical key; this layer reuses work
 // whenever two *different* requests embed the same function body. A
 // request for "md5 x2 + url x2" replays everything a prior "md5 x4"
-// request computed: the analysis is shared read-only, and every Solve
-// the earlier run memoized is a map lookup for the later one.
+// request computed: the analysis is shared read-only, every Solve the
+// earlier run memoized is a map lookup, and a thread granted the same
+// (PR, SR) again gets its code by pointer or by a register relocation.
 //
-// Keying: entries are keyed by core.FuncKey, the body's content key
+// Keying: records are keyed by core.FuncKey, the body's content key
 // ir.Func.Key — a sha256 over a structural encoding of exactly what
-// ir.Func.Format prints, computed without printing. Bodies handed out
-// by a BodyCache are frozen, and a frozen body keeps its key after the
-// first call, so a warm lookup never re-hashes; the cache holds no
-// pointer-keyed memo of its own (which would pin bodies the tiers have
-// already evicted). The hardware profile (NReg, thread count,
-// mode) is deliberately NOT part of the key: every per-function
-// artifact the cache holds is a pure function of the body alone —
-// analysis doesn't see NReg, and the Solve memo is keyed inside the
-// allocator by the (pr,sr) budget — so one entry serves every register
-// file a body is allocated against.
+// ir.Func.Format prints, computed without printing. The engine hashes
+// each body once per allocation and passes the key in; bodies handed
+// out by a BodyCache are frozen, and a frozen body keeps its key, so a
+// warm request never re-hashes. The hardware profile (NReg, thread
+// count, mode) is deliberately NOT part of the key: the analysis
+// doesn't see NReg, the Solve memo is keyed inside the allocator by the
+// (pr,sr) budget, and rewrites are keyed inside the record by grant and
+// palette, so one record serves every register file a body is
+// allocated against.
 //
 // Correctness contract (mirrors core.AllocatorSource):
 //   - A checked-out allocator is exclusively the caller's until checkin.
 //   - checkin(ok=false) discards the allocator: failed, degraded or
-//     panicked runs never warm the cache. An entry is only ever
-//     installed by a checkin(ok=true), so a body that never completed
-//     cleanly has no entry at all.
+//     panicked runs never warm the analysis or the pool. A record's
+//     analysis is only ever installed by a checkin(ok=true). StoreRewrite
+//     may create a record before that checkin (the engine rewrites
+//     before it checks in); such a record holds rewrites and no
+//     analysis, and a Checkout of it is a miss.
 //   - Results are bit-identical warm or cold: Solve is a pure function
 //     of the analysis and the budget, memoized Solutions/Contexts are
-//     immutable once inserted, and merging memo tables (Absorb) only
-//     adds entries another run would have recomputed identically.
+//     immutable once inserted, merging memo tables (Absorb) only adds
+//     entries another run would have recomputed identically, and a
+//     rewritten body is a pure function of (key, PR, SR, palette).
 //
-// Eviction is strict per-shard LRU on checkout/checkin order, bounded
-// by Config.Entries (the shard capacities sum to it exactly); with
-// Shards=1 and serial use the order is fully deterministic and
-// observable through Stats.
-//
-// All three tiers — BodyCache, Cache's shards and RewriteCache — sit on
-// one lru.Cache each, serialised by the tier's (or shard's) own mutex.
-// The LRU is the only code that evicts; per-entry accounting (Cache's
-// idle-pool and byte gauges, RewriteCache's byte gauge) is settled in
-// its onEvict callback.
+// Eviction is strict per-shard LRU over records, bounded by
+// Config.Entries (the shard capacities sum to it exactly); evicting a
+// record drops the whole body at once. Inside a record the rewrites sit
+// on their own LRU of RewritesPerBody entries. With Shards=1 and serial
+// use the order is fully deterministic and observable through Stats.
+// Each tier's LRU is an lru.Cache serialised by the tier's (or shard's)
+// mutex; per-entry accounting (idle-pool and byte gauges) is settled in
+// the onEvict callbacks.
 package funccache
 
 import (
@@ -58,18 +65,25 @@ import (
 	"npra/internal/lru"
 )
 
+// RewritesPerBody bounds the rewritten bodies one record keeps,
+// canonical and exact-palette entries alike. A body granted one (PR, SR)
+// and placed at many palettes keeps its canonical entry and the 31 most
+// recent exact ones; older palettes are served again by relocation.
+const RewritesPerBody = 32
+
 // Config sizes a Cache. Zero values take the noted defaults.
 type Config struct {
 	// Entries bounds the number of distinct function bodies cached
 	// (default 256). The bound is split across shards, the shard
-	// capacities summing to exactly Entries.
+	// capacities summing to exactly Entries. Each body holds at most
+	// RewritesPerBody rewritten bodies.
 	Entries int
 
 	// Shards is the lock-striping factor (default 8). Tests that assert
 	// global LRU eviction order use 1.
 	Shards int
 
-	// MaxIdle bounds the idle allocators pooled per entry (default 4).
+	// MaxIdle bounds the idle allocators pooled per record (default 4).
 	// Concurrent checkouts of one body beyond the pool get overflow
 	// allocators built over the shared analysis; at checkin, overflow
 	// beyond MaxIdle is folded into the pool via Absorb so its memo
@@ -95,30 +109,38 @@ func (c Config) withDefaults() Config {
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits      int64 // checkouts served from a warm entry
+	Hits      int64 // checkouts served from a warm record
 	Misses    int64 // checkouts that built a fresh analysis
-	Evictions int64 // entries dropped to stay within the Entries bound
+	Evictions int64 // records dropped to stay within the Entries bound
 	Discards  int64 // allocators dropped by checkin(ok=false)
-	Entries   int64 // live entries right now
+	Entries   int64 // live records right now
 	Idle      int64 // idle pooled allocators right now
 	Bytes     int64 // approximate heap bytes held by idle allocators
+
+	RewriteHits      int64 // exact-palette rewrite hits, served by pointer
+	RewriteRelocHits int64 // canonical rewrite hits, served by relocation
+	RewriteMisses    int64 // rewrite lookups that fell through to the rewriter
+	RewriteEvictions int64 // rewritten bodies dropped by the per-record bound or with their record
+	RewriteEntries   int64 // rewritten bodies held right now
+	RewriteBytes     int64 // approximate heap bytes held by rewritten bodies
 }
 
-// entry is one cached function body: the shared read-only analysis and
-// a LIFO pool of idle warm allocators over it.
-type entry struct {
-	analysis *ig.Analysis
+// record is everything the cache holds for one function body.
+type record struct {
+	analysis *ig.Analysis // nil until the body's first clean checkin
 	idle     []*intra.Allocator
+	rewrites *lru.Cache[rwKey, rwEntry]
+	rwBytes  int64 // sum of the rewrites' bytes
 }
 
 type shard struct {
 	mu  sync.Mutex
-	lru *lru.Cache[string, *entry]
+	lru *lru.Cache[string, *record]
 }
 
 // Cache is the function-level warm cache. It implements
-// core.AllocatorSource. The zero value is not usable; construct with
-// New.
+// core.AllocatorSource and core.RewriteSource. The zero value is not
+// usable; construct with New.
 type Cache struct {
 	cfg    Config
 	shards []*shard
@@ -128,6 +150,13 @@ type Cache struct {
 	discards atomic.Int64
 	idle     atomic.Int64
 	bytes    atomic.Int64
+
+	rwHits      atomic.Int64
+	rwRelocHits atomic.Int64
+	rwMisses    atomic.Int64
+	rwEvictions atomic.Int64
+	rwEntries   atomic.Int64
+	rwBytes     atomic.Int64
 }
 
 // New returns an empty cache sized by cfg.
@@ -145,14 +174,35 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// evicted releases an evicted entry's idle pool from the gauges. It runs
-// under the evicting shard's lock.
-func (c *Cache) evicted(_ string, e *entry) {
-	for _, al := range e.idle {
+// evicted releases an evicted record's idle pool and rewrites from the
+// gauges. It runs under the evicting shard's lock.
+func (c *Cache) evicted(_ string, rec *record) {
+	for _, al := range rec.idle {
 		c.idle.Add(-1)
 		c.bytes.Add(-al.Footprint())
 	}
-	e.idle = nil
+	rec.idle = nil
+	n := int64(rec.rewrites.Len())
+	c.rwEvictions.Add(n)
+	c.rwEntries.Add(-n)
+	c.rwBytes.Add(-rec.rwBytes)
+}
+
+// recordOf returns key's record in sh, creating it when absent. The
+// caller holds sh.mu.
+func (c *Cache) recordOf(sh *shard, key string) *record {
+	if rec, ok := sh.lru.Get(key); ok {
+		return rec
+	}
+	rec := &record{}
+	rec.rewrites = lru.New(RewritesPerBody, func(_ rwKey, e rwEntry) {
+		rec.rwBytes -= e.bytes
+		c.rwEvictions.Add(1)
+		c.rwEntries.Add(-1)
+		c.rwBytes.Add(-e.bytes)
+	})
+	sh.lru.Add(key, rec)
+	return rec
 }
 
 // Stats returns a snapshot of the counters. Evictions and Entries are
@@ -166,6 +216,13 @@ func (c *Cache) Stats() Stats {
 		Discards: c.discards.Load(),
 		Idle:     c.idle.Load(),
 		Bytes:    c.bytes.Load(),
+
+		RewriteHits:      c.rwHits.Load(),
+		RewriteRelocHits: c.rwRelocHits.Load(),
+		RewriteMisses:    c.rwMisses.Load(),
+		RewriteEvictions: c.rwEvictions.Load(),
+		RewriteEntries:   c.rwEntries.Load(),
+		RewriteBytes:     c.rwBytes.Load(),
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
@@ -193,31 +250,30 @@ func (c *Cache) shardOf(key string) *shard {
 }
 
 // Checkout implements core.AllocatorSource: it returns a warm allocator
-// for f's body when one is cached (or an overflow allocator over the
-// cached analysis when the pool is empty), building fresh on a miss.
-// The returned checkin must be called exactly once; ok=true recycles
-// the allocator's memo into the cache, ok=false discards it.
-func (c *Cache) Checkout(f *ir.Func) (*intra.Allocator, func(ok bool), error) {
-	key := core.FuncKey(f)
+// for the body keyed key when one is cached (or an overflow allocator
+// over the cached analysis when the pool is empty), building fresh from
+// f on a miss. The returned checkin must be called exactly once;
+// ok=true recycles the allocator's memo into the cache, ok=false
+// discards it.
+func (c *Cache) Checkout(f *ir.Func, key string) (*intra.Allocator, func(ok bool), error) {
 	sh := c.shardOf(key)
 
 	sh.mu.Lock()
-	e, warm := sh.lru.Get(key)
 	var al *intra.Allocator
 	var analysis *ig.Analysis
-	if warm {
-		analysis = e.analysis
-		if n := len(e.idle); n > 0 {
-			al = e.idle[n-1]
-			e.idle[n-1] = nil
-			e.idle = e.idle[:n-1]
+	if rec, ok := sh.lru.Get(key); ok && rec.analysis != nil {
+		analysis = rec.analysis
+		if n := len(rec.idle); n > 0 {
+			al = rec.idle[n-1]
+			rec.idle[n-1] = nil
+			rec.idle = rec.idle[:n-1]
 			c.idle.Add(-1)
 			c.bytes.Add(-al.Footprint())
 		}
 	}
 	sh.mu.Unlock()
 
-	if warm {
+	if analysis != nil {
 		c.hits.Add(1)
 		if al == nil {
 			// Pool drained by concurrent checkouts: an overflow allocator
@@ -256,26 +312,27 @@ func (c *Cache) checkinFunc(key string, al *intra.Allocator) func(bool) {
 			sh := c.shardOf(key)
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
-			e, cached := sh.lru.Get(key)
-			if !cached {
-				// First clean completion for this body: install the entry.
-				// Installation happens here, not at checkout, so bodies
-				// whose runs never complete cleanly are never cached.
-				e, _ = sh.lru.Add(key, &entry{analysis: al.A})
-			} else if e.analysis != al.A {
-				// The entry was evicted and rebuilt while this allocator
+			rec := c.recordOf(sh, key)
+			if rec.analysis == nil {
+				// First clean completion for this body: install the
+				// analysis. Installation happens here, not at checkout,
+				// so bodies whose runs never complete cleanly never warm
+				// the cache.
+				rec.analysis = al.A
+			} else if rec.analysis != al.A {
+				// The record was evicted and rebuilt while this allocator
 				// was out. Its memo Contexts point into a different (but
 				// equivalent) analysis; pooling it would make later
 				// Absorb calls refuse. Drop it.
 				c.discards.Add(1)
 				return
 			}
-			if len(e.idle) < c.cfg.MaxIdle {
+			if len(rec.idle) < c.cfg.MaxIdle {
 				// Zero the counters so the next run that checks this
 				// allocator out reports only its own work (the engine
 				// aggregates allocator counters verbatim).
 				al.ResetStats()
-				e.idle = append(e.idle, al)
+				rec.idle = append(rec.idle, al)
 				c.idle.Add(1)
 				c.bytes.Add(al.Footprint())
 				return
@@ -283,7 +340,7 @@ func (c *Cache) checkinFunc(key string, al *intra.Allocator) func(bool) {
 			// Pool full: keep the memo, not the allocator. Absorb only
 			// adds entries the pooled allocator was missing, so its
 			// footprint can only grow by what this run learned.
-			dst := e.idle[len(e.idle)-1]
+			dst := rec.idle[len(rec.idle)-1]
 			pre := dst.Footprint()
 			if err := dst.Absorb(al); err == nil {
 				c.bytes.Add(dst.Footprint() - pre)

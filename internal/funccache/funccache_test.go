@@ -26,7 +26,7 @@ func genFunc(t *testing.T, seed int64) *ir.Func {
 // the checkout was warm (== the pre-call hit counter advanced).
 func exercise(t *testing.T, c *Cache, f *ir.Func, ok bool) {
 	t.Helper()
-	al, checkin, err := c.Checkout(f)
+	al, checkin, err := c.Checkout(f, f.Key())
 	if err != nil {
 		t.Fatalf("Checkout(%s): %v", f.Name, err)
 	}
@@ -122,11 +122,11 @@ func TestPoolOverflowAbsorb(t *testing.T) {
 	f := genFunc(t, 9)
 	exercise(t, c, f, true) // install + pool one
 
-	al1, ci1, err := c.Checkout(f) // pops the pooled allocator
+	al1, ci1, err := c.Checkout(f, f.Key()) // pops the pooled allocator
 	if err != nil {
 		t.Fatal(err)
 	}
-	al2, ci2, err := c.Checkout(f) // pool empty: overflow over shared analysis
+	al2, ci2, err := c.Checkout(f, f.Key()) // pool empty: overflow over shared analysis
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestPoolOverflowAbsorb(t *testing.T) {
 		t.Errorf("Discards = %d, want the overflow checkin folded away", st.Discards)
 	}
 	// The absorbed Solve must now be warm in the pooled allocator.
-	al3, ci3, err := c.Checkout(f)
+	al3, ci3, err := c.Checkout(f, f.Key())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestPoolOverflowAbsorb(t *testing.T) {
 func TestCheckinIdempotent(t *testing.T) {
 	c := New(Config{})
 	f := genFunc(t, 11)
-	al, checkin, err := c.Checkout(f)
+	al, checkin, err := c.Checkout(f, f.Key())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestConcurrentCheckouts(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				f := funcs[(w+i)%len(funcs)]
-				al, checkin, err := c.Checkout(f)
+				al, checkin, err := c.Checkout(f, f.Key())
 				if err != nil {
 					t.Errorf("Checkout: %v", err)
 					return
@@ -232,7 +232,7 @@ func TestShardBoundSumsToEntries(t *testing.T) {
 	for entries := 1; entries <= 20; entries++ {
 		c := New(Config{Entries: entries})
 		for _, f := range funcs {
-			_, checkin, err := c.Checkout(f)
+			_, checkin, err := c.Checkout(f, f.Key())
 			if err != nil {
 				t.Fatalf("Checkout(%s): %v", f.Name, err)
 			}

@@ -1,22 +1,16 @@
 package funccache
 
 import (
-	"strconv"
-	"sync"
-	"sync/atomic"
-
-	"npra/internal/core"
 	"npra/internal/intra"
 	"npra/internal/ir"
-	"npra/internal/lru"
 )
 
-// RewriteCache is the third tier of the function-level cache hierarchy:
-// a bounded LRU of rewritten (physical-register) function bodies. It
-// implements core.RewriteSource.
+// The rewrite half of a record: rewritten (physical-register) bodies of
+// one function, by grant and palette. Cache implements
+// core.RewriteSource with it.
 //
 // The rewritten body is a pure function of the tuple
-// (FuncKey, PR, SR, privBase, sharedBase): the solution context chain is
+// (key, PR, SR, privBase, sharedBase): the solution context chain is
 // determined by the body and the (PR, SR) budget (Solve is memoized and
 // bit-identical), and the palette is determined by the two base
 // registers. The cache exploits one more degree of freedom: the
@@ -28,13 +22,17 @@ import (
 // injective register renaming — a deep copy plus remap, far cheaper
 // than re-running the rewriter.
 //
-// Two entry kinds share one LRU:
+// Two entry kinds share a record's rewrite LRU:
 //
-//   - canonical entries, keyed (FuncKey, PR, SR): the identity-palette
-//     body. A hit costs one CloneRemapRegs (a "relocation hit").
-//   - exact entries, keyed (FuncKey, PR, SR, privBase, sharedBase): the
+//   - canonical entries, keyed (PR, SR): the identity-palette body. A
+//     hit costs one CloneRemapRegs (a "relocation hit").
+//   - exact entries, keyed (PR, SR, privBase, sharedBase): the
 //     relocated body for one concrete palette. A hit is free — the
 //     cached *ir.Func is returned by pointer.
+//
+// Every use of an exact entry also touches its canonical entry, so a
+// record never loses a canonical entry while it keeps exact entries
+// derived from it.
 //
 // Every cached body is frozen (ir.Func.Freeze) before it becomes
 // visible: entries are shared by pointer across requests and engine
@@ -44,123 +42,94 @@ import (
 // Invalidation: none is ever needed. Keys are content hashes of the
 // virtual body plus the full palette tuple, so a changed body or a
 // different allocation simply misses; stale entries age out via LRU.
-type RewriteCache struct {
-	mu  sync.Mutex
-	lru *lru.Cache[string, rwEntry]
 
-	hits      atomic.Int64
-	relocHits atomic.Int64
-	misses    atomic.Int64
-	bytes     atomic.Int64
-}
-
-// RewriteConfig sizes a RewriteCache.
-type RewriteConfig struct {
-	// Entries bounds the number of cached bodies, counting canonical and
-	// exact entries alike (default 1024).
-	Entries int
-
-	// KeyFn is ignored: bodies are keyed by core.FuncKey.
-	//
-	// Deprecated: frozen bodies cache their own key (ir.Func.Key), so
-	// there is no memo to share. Leave it unset.
-	KeyFn func(*ir.Func) string
-}
-
-// RewriteCacheStats is a point-in-time snapshot of the counters.
-type RewriteCacheStats struct {
-	Hits      int64 // exact-palette hits, served by pointer
-	RelocHits int64 // canonical hits, served by relocation (clone+remap)
-	Misses    int64 // lookups that fell through to the rewriter
-	Evictions int64 // entries dropped to stay within the bound
-	Entries   int64 // live entries right now
-	Bytes     int64 // approximate heap bytes held by cached bodies
+// rwKey keys one rewritten body inside a record. Canonical entries
+// leave the bases zero and exact false.
+type rwKey struct {
+	pr, sr               int
+	privBase, sharedBase ir.Reg
+	exact                bool
 }
 
 type rwEntry struct {
 	f     *ir.Func
 	stats intra.RewriteStats
-}
-
-// NewRewriteCache returns an empty cache sized by cfg.
-func NewRewriteCache(cfg RewriteConfig) *RewriteCache {
-	if cfg.Entries <= 0 {
-		cfg.Entries = 1024
-	}
-	rc := &RewriteCache{}
-	rc.lru = lru.New(cfg.Entries, func(_ string, e rwEntry) { rc.bytes.Add(-rewriteFuncBytes(e.f)) })
-	return rc
-}
-
-// Stats returns a snapshot of the counters.
-func (rc *RewriteCache) Stats() RewriteCacheStats {
-	st := RewriteCacheStats{
-		Hits:      rc.hits.Load(),
-		RelocHits: rc.relocHits.Load(),
-		Misses:    rc.misses.Load(),
-		Bytes:     rc.bytes.Load(),
-	}
-	rc.mu.Lock()
-	st.Evictions, st.Entries = rc.lru.Evictions(), int64(rc.lru.Len())
-	rc.mu.Unlock()
-	return st
-}
-
-func exactRewriteKey(fkey string, pr, sr int, privBase, sharedBase ir.Reg) string {
-	return "x|" + fkey + "|" + strconv.Itoa(pr) + "|" + strconv.Itoa(sr) +
-		"|" + strconv.Itoa(int(privBase)) + "|" + strconv.Itoa(int(sharedBase))
-}
-
-func canonRewriteKey(fkey string, pr, sr int) string {
-	return "c|" + fkey + "|" + strconv.Itoa(pr) + "|" + strconv.Itoa(sr)
+	bytes int64 // rewriteFuncBytes(f)
 }
 
 // LookupRewrite implements core.RewriteSource. It returns the rewritten
-// body for f under the given grant and palette when one can be served
-// from cache: by pointer on an exact hit, by relocating the canonical
-// body on a canonical hit (the relocated body is inserted as an exact
-// entry so the next identical palette is free).
-func (rc *RewriteCache) LookupRewrite(f *ir.Func, pr, sr int, privBase, sharedBase ir.Reg) (*ir.Func, intra.RewriteStats, bool) {
-	fkey := core.FuncKey(f)
-	ek := exactRewriteKey(fkey, pr, sr, privBase, sharedBase)
+// body for the function keyed key under the given grant and palette
+// when one can be served from cache: by pointer on an exact hit, by
+// relocating the canonical body on a canonical hit (the relocated body
+// is inserted as an exact entry so the next identical palette is free).
+func (c *Cache) LookupRewrite(key string, pr, sr int, privBase, sharedBase ir.Reg) (*ir.Func, intra.RewriteStats, bool) {
+	sh := c.shardOf(key)
+	canonKey := rwKey{pr: pr, sr: sr}
 
-	rc.mu.Lock()
-	if e, ok := rc.lru.Get(ek); ok {
-		rc.mu.Unlock()
-		rc.hits.Add(1)
-		return e.f, e.stats, true
+	sh.mu.Lock()
+	var canon rwEntry
+	found := false
+	if rec, ok := sh.lru.Get(key); ok {
+		if e, ok := rec.rewrites.Get(rwKey{pr, sr, privBase, sharedBase, true}); ok {
+			rec.rewrites.Get(canonKey)
+			sh.mu.Unlock()
+			c.rwHits.Add(1)
+			return e.f, e.stats, true
+		}
+		canon, found = rec.rewrites.Get(canonKey)
 	}
-	e, ok := rc.lru.Get(canonRewriteKey(fkey, pr, sr))
-	rc.mu.Unlock()
+	sh.mu.Unlock()
 
-	if !ok {
-		rc.misses.Add(1)
+	if !found {
+		c.rwMisses.Add(1)
 		return nil, intra.RewriteStats{}, false
 	}
-	body := relocateRewrite(e.f, pr, privBase, sharedBase)
-	if body != e.f {
-		body.Freeze()
-		rc.insert(ek, body, e.stats)
-	}
-	rc.relocHits.Add(1)
-	return body, e.stats, true
+	c.rwRelocHits.Add(1)
+	return c.store(key, pr, sr, privBase, sharedBase, canon.f, canon.stats), canon.stats, true
 }
 
 // StoreRewrite implements core.RewriteSource. canonical must be the
-// identity-palette rewrite of f at (pr, sr); it is frozen, cached, and
-// relocated onto the requested palette. The returned body is the one
-// the caller should use (it may be the canonical body itself when the
-// palette is the identity).
-func (rc *RewriteCache) StoreRewrite(f *ir.Func, pr, sr int, privBase, sharedBase ir.Reg, canonical *ir.Func, stats intra.RewriteStats) *ir.Func {
+// identity-palette rewrite of the function keyed key at (pr, sr); it is
+// frozen, cached, and relocated onto the requested palette. The
+// returned body is the one the caller should use (it may be the
+// canonical body itself when the palette is the identity).
+func (c *Cache) StoreRewrite(key string, pr, sr int, privBase, sharedBase ir.Reg, canonical *ir.Func, stats intra.RewriteStats) *ir.Func {
 	canonical.Freeze()
-	fkey := core.FuncKey(f)
-	rc.insert(canonRewriteKey(fkey, pr, sr), canonical, stats)
+	return c.store(key, pr, sr, privBase, sharedBase, canonical, stats)
+}
+
+// store relocates the frozen canonical body onto the palette and caches
+// both in key's record, creating the record when it is absent. The
+// first insertion of an entry wins — a racing duplicate keeps the
+// already-cached pointer stable for everyone who holds it — and the
+// resident relocated body is returned.
+func (c *Cache) store(key string, pr, sr int, privBase, sharedBase ir.Reg, canonical *ir.Func, stats intra.RewriteStats) *ir.Func {
 	body := relocateRewrite(canonical, pr, privBase, sharedBase)
 	if body != canonical {
 		body.Freeze()
-		rc.insert(exactRewriteKey(fkey, pr, sr, privBase, sharedBase), body, stats)
 	}
+	sh := c.shardOf(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	rec := c.recordOf(sh, key)
+	if body != canonical {
+		body = c.addRewrite(rec, rwKey{pr, sr, privBase, sharedBase, true}, body, stats)
+	}
+	// After the exact entry, so the canonical is the more recent.
+	c.addRewrite(rec, rwKey{pr: pr, sr: sr}, canonical, stats)
 	return body
+}
+
+// addRewrite caches f under k in rec unless k is resident, and returns
+// the resident body. The caller holds rec's shard lock.
+func (c *Cache) addRewrite(rec *record, k rwKey, f *ir.Func, stats intra.RewriteStats) *ir.Func {
+	e, added := rec.rewrites.Add(k, rwEntry{f: f, stats: stats, bytes: rewriteFuncBytes(f)})
+	if added {
+		rec.rwBytes += e.bytes
+		c.rwEntries.Add(1)
+		c.rwBytes.Add(e.bytes)
+	}
+	return e.f
 }
 
 // relocateRewrite maps the canonical identity-palette body onto the
@@ -191,18 +160,6 @@ func relocateRewrite(canonical *ir.Func, pr int, privBase, sharedBase ir.Reg) *i
 	return canonical.CloneRemapRegs(remap, int(maxReg)+1)
 }
 
-// insert adds (or refreshes) one entry under the LRU bound. The first
-// insertion of a key wins — a racing duplicate keeps the already-cached
-// pointer stable for everyone who holds it.
-func (rc *RewriteCache) insert(key string, f *ir.Func, stats intra.RewriteStats) {
-	sz := rewriteFuncBytes(f)
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if _, added := rc.lru.Add(key, rwEntry{f: f, stats: stats}); added {
-		rc.bytes.Add(sz)
-	}
-}
-
 // rewriteFuncBytes approximates the heap footprint of a cached body.
 // Constants mirror the struct shapes loosely (a Func header, a Block
 // header + CFG slices per block, an Instr per instruction); the figure
@@ -215,3 +172,18 @@ func rewriteFuncBytes(f *ir.Func) int64 {
 	}
 	return n
 }
+
+// RewriteConfig configured the separate rewrite tier that records now
+// hold.
+//
+// Deprecated: a Cache is its own core.RewriteSource; use New.
+type RewriteConfig struct {
+	// KeyFn is ignored: bodies are keyed by core.FuncKey.
+	KeyFn func(*ir.Func) string
+}
+
+// NewRewriteCache returns New(Config{}).
+//
+// Deprecated: a Cache is its own core.RewriteSource; use New and hand
+// the one Cache to core.Config as both FuncCache and RewriteCache.
+func NewRewriteCache(RewriteConfig) *Cache { return New(Config{}) }

@@ -286,7 +286,7 @@ func (f *Func) Clone() *Func {
 // replaces wholesale, are shared). remap must be injective over the
 // registers the function uses, with every remap[r] in [0, numRegs).
 //
-// The funccache rewrite tier uses this to relocate one cached
+// The funccache records use this to relocate one cached
 // canonical-palette body onto many concrete register palettes.
 func (f *Func) CloneRemapRegs(remap []Reg, numRegs int) *Func {
 	nf := &Func{

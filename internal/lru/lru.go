@@ -1,12 +1,13 @@
 // Package lru is the one bounded least-recently-used map under every
-// npra cache tier: the result cache in serve, and the body, function
-// and rewrite caches in funccache.
+// npra cache tier: the result cache in serve, and in funccache the body
+// cache, the per-body records and each record's rewrites.
 //
 // A Cache takes no lock. Each tier already serialises its own access
-// (a tier mutex or a shard mutex), so the Cache adds no lock edges and
-// costs no second acquisition on the request path. Eviction is the only
-// place entries leave: a tier that keeps accounting per entry (pooled
-// allocators, byte gauges) settles it in the onEvict callback.
+// (a tier mutex or a shard mutex, which also covers its records'
+// rewrites), so the Cache adds no lock edges and costs no second
+// acquisition on the request path. Eviction is the only place entries
+// leave: a tier that keeps accounting per entry (pooled allocators,
+// byte gauges) settles it in the onEvict callback.
 package lru
 
 // node is one resident entry on the recency ring.

@@ -244,9 +244,8 @@ type Snapshot struct {
 // TierStats holds the function-granular cache tiers' counters,
 // snapshotted from the Server's caches (zero when a tier is disabled).
 type TierStats struct {
-	FuncCache    funccache.Stats
-	BodyCache    lru.Stats
-	RewriteCache funccache.RewriteCacheStats
+	FuncCache funccache.Stats
+	BodyCache lru.Stats
 }
 
 // SingleflightHits returns in-flight joins plus cached joins: every
@@ -390,14 +389,14 @@ func (m *Metrics) render(queueDepth int, tenants []tenantDepth, cs TierStats) st
 	fmt.Fprintf(&b, "npserve_body_cache_evictions %d\n", bc.Evictions)
 	fmt.Fprintf(&b, "npserve_body_cache_entries %d\n", bc.Entries)
 
-	rc := cs.RewriteCache
-	fmt.Fprintf(&b, "npserve_rewrite_cache_hits %d\n", rc.Hits)
-	fmt.Fprintf(&b, "npserve_rewrite_cache_reloc_hits %d\n", rc.RelocHits)
-	fmt.Fprintf(&b, "npserve_rewrite_cache_misses %d\n", rc.Misses)
-	fmt.Fprintf(&b, "npserve_rewrite_cache_hit_rate %.4f\n", rate(rc.Hits+rc.RelocHits, rc.Misses))
-	fmt.Fprintf(&b, "npserve_rewrite_cache_evictions %d\n", rc.Evictions)
-	fmt.Fprintf(&b, "npserve_rewrite_cache_entries %d\n", rc.Entries)
-	fmt.Fprintf(&b, "npserve_rewrite_cache_bytes %d\n", rc.Bytes)
+	// The rewrites held in the function cache's records.
+	fmt.Fprintf(&b, "npserve_rewrite_cache_hits %d\n", fc.RewriteHits)
+	fmt.Fprintf(&b, "npserve_rewrite_cache_reloc_hits %d\n", fc.RewriteRelocHits)
+	fmt.Fprintf(&b, "npserve_rewrite_cache_misses %d\n", fc.RewriteMisses)
+	fmt.Fprintf(&b, "npserve_rewrite_cache_hit_rate %.4f\n", rate(fc.RewriteHits+fc.RewriteRelocHits, fc.RewriteMisses))
+	fmt.Fprintf(&b, "npserve_rewrite_cache_evictions %d\n", fc.RewriteEvictions)
+	fmt.Fprintf(&b, "npserve_rewrite_cache_entries %d\n", fc.RewriteEntries)
+	fmt.Fprintf(&b, "npserve_rewrite_cache_bytes %d\n", fc.RewriteBytes)
 
 	phases := []struct {
 		name string

@@ -38,8 +38,8 @@
 // The completed-flight LRU behind dedup is the only request-level
 // cache: every request is identified by its canonical key alone, however
 // its JSON is spelled. It is one lru.Cache, the same type under
-// funccache's body, function and rewrite tiers, serialised by
-// Server.flightMu.
+// funccache's body tier, its per-body records and their rewrites,
+// serialised by Server.flightMu.
 package serve
 
 import (
@@ -93,22 +93,18 @@ type Config struct {
 	// FuncCacheEntries bounds the function-level warm cache (default
 	// 256 distinct bodies; negative disables it). Unlike the result LRU
 	// above — which only answers requests with the same canonical key —
-	// the function cache reuses analyses and allocator memo tables
-	// across *different* requests that embed the same thread bodies.
+	// the function cache reuses work across *different* requests that
+	// embed the same thread bodies: one record per body holds its
+	// analysis, warm allocator memo tables, and up to
+	// funccache.RewritesPerBody rewritten bodies keyed by grant and
+	// palette, so a warm allocation's code emission is a lookup (or a
+	// flat register relocation) instead of a re-run of the rewriter.
 	FuncCacheEntries int
 
 	// BodyCacheEntries bounds the compiled-body cache (default 1024
 	// bodies; negative disables it), which skips re-assembling masm
 	// source / re-generating progen specs seen before.
 	BodyCacheEntries int
-
-	// RewriteCacheEntries bounds the rewrite-result cache (default 1024
-	// bodies, canonical + relocated; negative disables it): the third
-	// cache tier, memoizing the engine's rewrite phase by
-	// (FuncKey, PR, SR, privBase, sharedBase) so a warm allocation's
-	// code emission is a lookup (or a flat register relocation) instead
-	// of a re-run of the rewriter.
-	RewriteCacheEntries int
 
 	// RetryAfter is the *floor* of the client backoff hint attached to
 	// 429/503 responses (default 1s, rounded up to whole seconds on the
@@ -175,12 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BodyCacheEntries < 0 {
 		c.BodyCacheEntries = 0
-	}
-	if c.RewriteCacheEntries == 0 {
-		c.RewriteCacheEntries = 1024
-	}
-	if c.RewriteCacheEntries < 0 {
-		c.RewriteCacheEntries = 0
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
@@ -273,11 +263,10 @@ type Server struct {
 	flightMu sync.Mutex
 	fg       *flightGroup
 
-	// fcache, bodies and rewrites are the function-granular layers under
-	// the request-granular dedup above: nil when disabled by config.
-	fcache   *funccache.Cache
-	bodies   *funccache.BodyCache
-	rewrites *funccache.RewriteCache
+	// fcache and bodies are the function-granular layers under the
+	// request-granular dedup above: nil when disabled by config.
+	fcache *funccache.Cache
+	bodies *funccache.BodyCache
 
 	queue *fairQueue
 
@@ -307,9 +296,6 @@ func New(cfg Config) *Server {
 	}
 	if s.cfg.BodyCacheEntries > 0 {
 		s.bodies = funccache.NewBodyCache(s.cfg.BodyCacheEntries)
-	}
-	if s.cfg.RewriteCacheEntries > 0 {
-		s.rewrites = funccache.NewRewriteCache(funccache.RewriteConfig{Entries: s.cfg.RewriteCacheEntries})
 	}
 	s.queue = newFairQueue(
 		s.cfg.MaxQueue,
@@ -346,9 +332,6 @@ func (s *Server) cacheStats() TierStats {
 	}
 	if s.bodies != nil {
 		cs.BodyCache = s.bodies.Stats()
-	}
-	if s.rewrites != nil {
-		cs.RewriteCache = s.rewrites.Stats()
 	}
 	return cs
 }
@@ -617,10 +600,7 @@ func (s *Server) runJob(j *job, workers, batched int) {
 	jobStart := now()
 	cfg := core.Config{NReg: j.req.NReg, Workers: workers}
 	if s.fcache != nil {
-		cfg.FuncCache = s.fcache
-	}
-	if s.rewrites != nil {
-		cfg.RewriteCache = s.rewrites
+		cfg.FuncCache, cfg.RewriteCache = s.fcache, s.fcache
 	}
 	var alloc *core.Allocation
 	var err error

@@ -15,8 +15,7 @@ import (
 // plumbing wired through Check.
 func TestRunAdversarialSmoke(t *testing.T) {
 	s := serve.New(serve.Config{
-		FuncCacheEntries:    8,
-		RewriteCacheEntries: 16,
+		FuncCacheEntries: 8,
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

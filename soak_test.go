@@ -182,9 +182,8 @@ func TestSoakServe(t *testing.T) {
 func TestSoakAdversarial(t *testing.T) {
 	soakGuard(t)
 	s := serve.New(serve.Config{
-		MaxQueue:            128,
-		FuncCacheEntries:    8,
-		RewriteCacheEntries: 16,
+		MaxQueue:         128,
+		FuncCacheEntries: 8,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
