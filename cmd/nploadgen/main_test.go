@@ -7,10 +7,18 @@ import (
 	"testing"
 )
 
+// gates returns a config with every gate off.
+func gates() config {
+	return config{max5xx: -1, minDedup: -1, maxP99MS: -1, minEventual: -1,
+		fairTol: -1, maxRelocShare: -1, maxEvictPerReq: -1}
+}
+
 func TestRunInProcess(t *testing.T) {
 	report := filepath.Join(t.TempDir(), "report.json")
-	err := run("", true, 4, 0, 60, 0.5, 8, 2, 48, 0, 3, report, 0, 0.05, 0, 2)
-	if err != nil {
+	cfg := gates()
+	cfg.inprocess, cfg.conc, cfg.requests, cfg.dup, cfg.report = true, 4, 60, 0.5, report
+	cfg.max5xx, cfg.minDedup = 0, 0.05
+	if err := run(cfg); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	blob, err := os.ReadFile(report)
@@ -42,22 +50,26 @@ func TestRunInProcess(t *testing.T) {
 
 func TestRunFailsDedupGate(t *testing.T) {
 	// dup 0 with a cold cache cannot reach a 0.99 hit rate.
-	err := run("", true, 2, 0, 10, 0, 8, 2, 48, 0, 5, "", -1, 0.99, 0, 1)
-	if err == nil {
+	cfg := gates()
+	cfg.inprocess, cfg.conc, cfg.requests, cfg.minDedup = true, 2, 10, 0.99
+	if err := run(cfg); err == nil {
 		t.Fatal("run passed an unreachable dedup gate")
 	}
 }
 
 func TestRunFailsP99Gate(t *testing.T) {
 	// No real request completes in a microsecond.
-	err := run("", true, 2, 0, 10, 0, 8, 2, 48, 0, 6, "", -1, -1, 0.001, 1)
-	if err == nil {
+	cfg := gates()
+	cfg.inprocess, cfg.conc, cfg.requests, cfg.maxP99MS = true, 2, 10, 0.001
+	if err := run(cfg); err == nil {
 		t.Fatal("run passed an unreachable p99 gate")
 	}
 }
 
 func TestRunNeedsTarget(t *testing.T) {
-	if err := run("", false, 1, 0, 1, 0, 8, 2, 48, 0, 1, "", -1, -1, 0, 1); err == nil {
+	cfg := gates()
+	cfg.conc, cfg.requests = 1, 1
+	if err := run(cfg); err == nil {
 		t.Fatal("run accepted no URL without -inprocess")
 	}
 }

@@ -46,9 +46,10 @@ type Benchmark struct {
 	Suite       string // commbench, netbench, intel, wraps
 	Description string
 
-	// Extra marks service kernels beyond the paper's 11 (they feed the
-	// serve benchmarks' kernel-mix pool); Paper() excludes them so the
-	// §9 tables keep the paper's shape.
+	// Extra marks service kernels beyond the paper's 11 (they join the
+	// kernel pools of perfbench's mix-warm workload and of loadgen's
+	// kernel-mix gate test); Paper() excludes them so the §9 tables
+	// keep the paper's shape.
 	Extra bool
 
 	// Gen builds the program processing npkts packets.

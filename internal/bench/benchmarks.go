@@ -67,9 +67,10 @@ func init() {
 		Description: "Multi-level table IP route lookup (pointer-chasing loads)",
 		Gen:         genRoute,
 	})
-	// Service kernels beyond the paper's 11: they diversify the serve
-	// benchmarks' kernel-mix pool (pressure-testing the rewrite cache
-	// across scenario shapes) but stay out of the §9 tables.
+	// Service kernels beyond the paper's 11: they diversify the kernel
+	// pools of perfbench's mix-warm workload and of loadgen's kernel-mix
+	// gate test (pressure-testing the rewrite cache across scenario
+	// shapes) but stay out of the §9 tables.
 	register(&Benchmark{
 		Name: "ipv6_fwd", Suite: "intel", Extra: true,
 		Description: "IPv6 forwarding: hop-limit update, prefix-hash next-hop lookup over the destination address",

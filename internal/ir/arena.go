@@ -41,7 +41,7 @@ func (a *Arena) InstrSlice(capacity int) []Instr {
 	}
 	l := len(a.instrs)
 	a.instrs = a.instrs[:l+capacity]
-	return a.instrs[l:l:l+capacity]
+	return a.instrs[l : l : l+capacity]
 }
 
 // Block returns a zeroed *Block carved from the current chunk. Earlier

@@ -318,7 +318,7 @@ func GenerateNearCollision(seed int64, cfg StructuredConfig) *ir.Func {
 		bu.Op3To(ir.OpXor, salt, salt, vars[(s+1)%n])
 	}
 	bu.Emit(ir.Instr{Op: ir.OpStoreA, Def: ir.NoReg, A: ir.NoReg, B: salt,
-		Imm: cfg.StoreBase + (int64(bodyLen) % w) &^ 3})
+		Imm: cfg.StoreBase + (int64(bodyLen)%w)&^3})
 	bu.Halt()
 	f, err := bu.Finish()
 	if err != nil {

@@ -2,83 +2,61 @@ package loadgen
 
 // The adversarial workload: heterogeneous hardware profiles drive
 // cache-hostile progen shapes against one server, and the report
-// watches the failure modes the friendly kernel mix never reaches —
+// watches the failure modes a friendly kernel pool never reaches —
 // relocation storms in the rewrite tier, eviction thrash when the
 // caches are squeezed, result-cache aliasing across register files, and
 // admission fairness when profiles skew the work size.
 //
 // Each worker is pinned to one hardware profile (its X-Tenant), so the
 // profiles form closed loops exactly like chaos tenants; shapes cycle
-// per request. A tunable fraction of each worker's requests repeats a
-// small hot pool — without repeats the tiny caches would only ever
-// miss, and the relocation/eviction counters would measure nothing.
+// per request. Half of each worker's requests repeat a small hot pool —
+// without repeats the tiny caches would only ever miss, and the
+// relocation/eviction counters would measure nothing.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"npra/internal/core"
 	"npra/internal/core/errs"
 )
 
-// HWProfile is one hardware profile in the heterogeneous stream: a
-// register-file size and, when NThd is set, the symmetric (SRA) mode
-// with that thread count.
-type HWProfile struct {
-	Name string `json:"name"`
-	NReg int    `json:"nreg"`
-	NThd int    `json:"nthd,omitempty"` // >0: mode "sra" with this thread count
+// hwProfile is one hardware profile in the heterogeneous stream: a
+// register-file size and, when nthd is set, the symmetric (SRA) mode
+// with that thread count. Its name doubles as its workers' X-Tenant,
+// so the server's DRR admission sees one tenant per profile.
+type hwProfile struct {
+	name string
+	nreg int
+	nthd int // >0: mode "sra" with this thread count
 }
 
-// ParseProfiles parses a profile list of the form
-// "name=nreg,name=nregxnthd,..." (e.g. "small=16,sym=32x4,large=128").
-func ParseProfiles(spec string) ([]HWProfile, error) {
-	var out []HWProfile
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok || name == "" {
-			return nil, errs.Invalidf("loadgen: profile %q: want name=nreg[xnthd]", part)
-		}
-		p := HWProfile{Name: name}
-		nregStr, nthdStr, hasThd := strings.Cut(val, "x")
-		n, err := strconv.Atoi(nregStr)
-		if err != nil || n < 1 {
-			return nil, errs.Invalidf("loadgen: profile %q: bad nreg %q", part, nregStr)
-		}
-		p.NReg = n
-		if hasThd {
-			th, err := strconv.Atoi(nthdStr)
-			if err != nil || th < 1 {
-				return nil, errs.Invalidf("loadgen: profile %q: bad nthd %q", part, nthdStr)
-			}
-			p.NThd = th
-		}
-		out = append(out, p)
+// The adversarial stream's fixed shape: the profiles, the generator
+// families each worker rotates through (they must match the families
+// progen accepts on the wire), the probability that a request repeats
+// one of advPoolSize hot specs of its (shape, profile) slot instead of
+// a fresh unique one, and the thread cap per ARA request. Hot repeats
+// are what give the cache tiers a reuse signal to mismanage; unique
+// requests are what churns them.
+var (
+	advProfiles = []hwProfile{
+		{name: "ara24", nreg: 24},
+		{name: "sra64", nreg: 64, nthd: 3},
+		{name: "ara128", nreg: 128},
 	}
-	if len(out) == 0 {
-		return nil, errs.Invalidf("loadgen: empty profile list %q", spec)
-	}
-	return out, nil
-}
+	advShapes = []string{"trampoline", "boundary", "palette", "nearcollision"}
+)
 
-// AdvShapes is the default adversarial shape rotation; it must match
-// the generator families progen accepts on the wire.
-var AdvShapes = []string{"trampoline", "boundary", "palette", "nearcollision"}
+const (
+	advHotRatio   = 0.5
+	advPoolSize   = 3
+	advMaxThreads = 2
+)
 
 // AdvOptions configures an adversarial run. Zero values take the noted
 // defaults.
@@ -95,67 +73,8 @@ type AdvOptions struct {
 	Duration    time.Duration
 	MaxRequests int64
 
-	// Profiles is the heterogeneous hardware mix; each profile is also
-	// the X-Tenant its workers send, so the server's DRR admission sees
-	// one tenant per profile. Default: ara24 / sra64x3 / ara128.
-	Profiles []HWProfile
-
-	// Shapes rotates the adversarial generator families (default
-	// AdvShapes).
-	Shapes []string
-
-	// HotRatio is the probability a request repeats one of PoolSize hot
-	// specs of its (shape, profile) slot instead of a fresh unique one
-	// (default 0.5). Hot repeats are what give the cache tiers a reuse
-	// signal to mismanage; unique requests are what churns them.
-	HotRatio float64
-
-	// PoolSize is the hot-spec pool size per (shape, profile) (default 3).
-	PoolSize int
-
-	// Threads caps the threads per ARA request (default 2).
-	Threads int
-
-	// TimeoutMS is forwarded in each request (0 = server default).
-	TimeoutMS int64
-
 	// Seed makes the stream reproducible (default 1).
 	Seed int64
-
-	// Client overrides the HTTP client (default: 30s-timeout client).
-	Client *http.Client
-}
-
-func (o AdvOptions) withDefaults() AdvOptions {
-	if o.WorkersPerProfile <= 0 {
-		o.WorkersPerProfile = 2
-	}
-	if len(o.Profiles) == 0 {
-		o.Profiles = []HWProfile{
-			{Name: "ara24", NReg: 24},
-			{Name: "sra64", NReg: 64, NThd: 3},
-			{Name: "ara128", NReg: 128},
-		}
-	}
-	if len(o.Shapes) == 0 {
-		o.Shapes = AdvShapes
-	}
-	if o.HotRatio == 0 {
-		o.HotRatio = 0.5
-	}
-	if o.PoolSize <= 0 {
-		o.PoolSize = 3
-	}
-	if o.Threads <= 0 {
-		o.Threads = 2
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	return o
 }
 
 // advSpec builds one request: a single shape family under a single
@@ -163,27 +82,23 @@ func (o AdvOptions) withDefaults() AdvOptions {
 // are folded into a small range so bodies recur across different
 // requests, thread positions and budgets — the recurrence the rewrite
 // tier answers with relocations rather than exact pointer hits.
-func (o *AdvOptions) advSpec(shape string, p HWProfile, seed int64) []byte {
-	req := core.WireRequest{NReg: p.NReg, TimeoutMS: o.TimeoutMS}
-	if p.NThd > 0 {
+func (o *AdvOptions) advSpec(shape string, p hwProfile, seed int64) []byte {
+	req := core.WireRequest{NReg: p.nreg}
+	if p.nthd > 0 {
 		req.Mode = "sra"
-		req.NThd = p.NThd
+		req.NThd = p.nthd
 		req.Threads = []core.WireThread{
 			{Progen: &core.WireProgen{Seed: o.Seed*1000 + seed%16, Shape: shape}},
 		}
 	} else {
-		nthreads := 1 + int(seed)%o.Threads
+		nthreads := 1 + int(seed)%advMaxThreads
 		for th := 0; th < nthreads; th++ {
 			req.Threads = append(req.Threads, core.WireThread{
 				Progen: &core.WireProgen{Seed: o.Seed*1000 + (seed+int64(th)*7)%16, Shape: shape},
 			})
 		}
 	}
-	blob, err := json.Marshal(&req)
-	if err != nil {
-		return []byte("{}")
-	}
-	return blob
+	return marshal(&req)
 }
 
 // AdvShapeStats classifies one shape family's outcomes. OK + Degraded +
@@ -218,8 +133,11 @@ type AdvReport struct {
 	// value is a cross-profile cache-aliasing bug, never acceptable.
 	AliasMismatches int64 `json:"alias_mismatches"`
 
-	// RelocShare is relocation hits over all rewrite-tier lookups
-	// (delta across the run): the relocation-storm gate.
+	// RelocShare is the share of all rewrite-tier lookups across the
+	// run that relocation hits answered: reloc_hits / (hits +
+	// reloc_hits + misses), from /metrics deltas. It bounds relocation
+	// storms; it cannot tell whether exact-palette entries ever hit,
+	// since exact hits and misses share the denominator.
 	RelocShare float64 `json:"reloc_share"`
 
 	// EvictionsPerReq is the run's eviction delta summed over the
@@ -230,25 +148,17 @@ type AdvReport struct {
 	FuncCacheHitRate    float64 `json:"funccache_hit_rate"`
 	RewriteCacheHitRate float64 `json:"rewritecache_hit_rate"`
 
-	DurationS     float64 `json:"duration_s"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-
-	P50MS  float64 `json:"p50_ms"`
-	P90MS  float64 `json:"p90_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MeanMS float64 `json:"mean_ms"`
-	MaxMS  float64 `json:"max_ms"`
+	Latency
 
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Check validates the adversarial gates: no transport errors, zero
-// cross-profile alias mismatches (always enforced), every shape served
-// at least once, at most maxFiveXX server errors (-1 disables), a
-// relocation share at most maxRelocShare (0 disables), an eviction rate
-// at most maxEvictPerReq (0 disables), a p99 at most maxP99MS (0
-// disables), and every profile's served share within fairTol of equal
-// (0 disables).
+// cross-profile alias mismatches and every shape served at least once
+// (all three always enforced), at most maxFiveXX server errors, a
+// relocation share at most maxRelocShare, an eviction rate at most
+// maxEvictPerReq, a p99 at most maxP99MS, and every profile's served
+// share within fairTol of equal. A negative bound disables its gate.
 func (r *AdvReport) Check(maxFiveXX int64, maxRelocShare, maxEvictPerReq, maxP99MS, fairTol float64) error {
 	if r.Requests == 0 {
 		return errs.Internalf("adversarial: no requests completed")
@@ -276,219 +186,149 @@ func (r *AdvReport) Check(maxFiveXX int64, maxRelocShare, maxEvictPerReq, maxP99
 	if maxFiveXX >= 0 && fiveXX > maxFiveXX {
 		return errs.Internalf("adversarial: %d responses were 5xx (allowed %d)", fiveXX, maxFiveXX)
 	}
-	if maxRelocShare > 0 && r.RelocShare > maxRelocShare {
+	if maxRelocShare >= 0 && r.RelocShare > maxRelocShare {
 		return errs.Internalf("adversarial: relocation share %.4f above the %.4f ceiling (relocation storm)",
 			r.RelocShare, maxRelocShare)
 	}
-	if maxEvictPerReq > 0 && r.EvictionsPerReq > maxEvictPerReq {
+	if maxEvictPerReq >= 0 && r.EvictionsPerReq > maxEvictPerReq {
 		return errs.Internalf("adversarial: %.2f evictions/request above the %.2f ceiling (eviction thrash)",
 			r.EvictionsPerReq, maxEvictPerReq)
 	}
-	if maxP99MS > 0 && r.P99MS > maxP99MS {
+	if maxP99MS >= 0 && r.P99MS > maxP99MS {
 		return errs.Internalf("adversarial: p99 latency %.2fms above the %.2fms ceiling", r.P99MS, maxP99MS)
 	}
-	if fairTol > 0 && r.FairnessDev > fairTol {
+	if fairTol >= 0 && r.FairnessDev > fairTol {
 		return errs.Internalf("adversarial: profile served-share deviates %.4f from equal (allowed %.4f): %v",
 			r.FairnessDev, fairTol, r.ProfileOK)
 	}
 	return nil
 }
 
+// advAnswer is what one adversarial request got back, tagged with the
+// shape it was built from.
+type advAnswer struct {
+	shape  string
+	status int
+	body   []byte
+}
+
 // RunAdversarial drives the adversarial workload and returns the
 // report. It stops when ctx is done, Duration elapses, or MaxRequests
 // have been issued — whichever comes first.
 func RunAdversarial(ctx context.Context, opt AdvOptions) (*AdvReport, error) {
-	opt = opt.withDefaults()
 	if opt.URL == "" {
 		return nil, errs.Invalidf("loadgen: no target URL")
 	}
-	if opt.Duration <= 0 && opt.MaxRequests <= 0 {
-		return nil, errs.Invalidf("loadgen: need a duration or a request budget")
+	if opt.WorkersPerProfile <= 0 {
+		opt.WorkersPerProfile = 2
 	}
-	if opt.Duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Duration)
-		defer cancel()
+	if opt.Seed == 0 {
+		opt.Seed = 1
 	}
+	client := newClient()
 
-	// Hot pools: PoolSize fixed specs per (shape, profile), shared by
+	// Hot pools: advPoolSize fixed specs per (shape, profile), shared by
 	// that profile's workers. Repeats are what exercise the result LRU —
 	// and what would surface aliasing if the canonical key ever stopped
 	// covering the profile.
-	hot := make(map[string][][]byte, len(opt.Shapes)*len(opt.Profiles))
-	for _, shape := range opt.Shapes {
-		for pi, p := range opt.Profiles {
-			pool := make([][]byte, opt.PoolSize)
+	hot := make(map[string][][]byte, len(advShapes)*len(advProfiles))
+	for _, shape := range advShapes {
+		for pi, p := range advProfiles {
+			pool := make([][]byte, advPoolSize)
 			for k := range pool {
-				pool[k] = opt.advSpec(shape, p, int64(pi*opt.PoolSize+k))
+				pool[k] = opt.advSpec(shape, p, int64(pi*advPoolSize+k))
 			}
-			hot[shape+"|"+p.Name] = pool
+			hot[shape+"|"+p.name] = pool
 		}
 	}
 
-	pre, err := ScrapeMetrics(opt.Client, opt.URL)
+	pre, err := ScrapeMetrics(client, opt.URL)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: pre-run metrics: %w", err)
 	}
 
-	type workerStats struct {
-		byShape   map[string]*AdvShapeStats
-		profileOK int64
-		latencies []float64
+	// Workers are numbered profile by profile: worker w is pinned to
+	// profile w/WorkersPerProfile, draws from its own rng and rotates
+	// the shapes by its own request count.
+	workers := len(advProfiles) * opt.WorkersPerProfile
+	rngs := make([]*rand.Rand, workers)
+	sent := make([]int, workers)
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(opt.Seed + int64(w)*7919))
 	}
-	stats := make([]workerStats, len(opt.Profiles)*opt.WorkersPerProfile)
-	var issued atomic.Int64
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for pi, p := range opt.Profiles {
-		for w := 0; w < opt.WorkersPerProfile; w++ {
-			wg.Add(1)
-			go func(pi int, p HWProfile, slot int) {
-				defer wg.Done()
-				st := &stats[slot]
-				st.byShape = make(map[string]*AdvShapeStats, len(opt.Shapes))
-				rng := rand.New(rand.NewSource(opt.Seed + int64(slot)*7919))
-				for i := int64(0); ctx.Err() == nil; i++ {
-					ticket := issued.Add(1)
-					if opt.MaxRequests > 0 && ticket > opt.MaxRequests {
-						return
-					}
-					shape := opt.Shapes[int(i)%len(opt.Shapes)]
-					sh := st.byShape[shape]
-					if sh == nil {
-						sh = &AdvShapeStats{}
-						st.byShape[shape] = sh
-					}
-					var body []byte
-					if rng.Float64() < opt.HotRatio {
-						pool := hot[shape+"|"+p.Name]
-						body = pool[rng.Intn(len(pool))]
-					} else {
-						body = opt.advSpec(shape, p, 100+ticket)
-					}
-
-					req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-						opt.URL+"/allocate", bytes.NewReader(body))
-					if err != nil {
-						sh.Requests++
-						sh.Transport++
-						continue
-					}
-					req.Header.Set("Content-Type", "application/json")
-					req.Header.Set("X-Tenant", p.Name)
-					t0 := time.Now()
-					resp, err := opt.Client.Do(req)
-					if err != nil {
-						if ctx.Err() != nil {
-							return // run ended mid-request; don't count it
-						}
-						sh.Requests++
-						sh.Transport++
-						continue
-					}
-					blob, rerr := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if rerr != nil {
-						sh.Requests++
-						sh.Transport++
-						continue
-					}
-					sh.Requests++
-					st.latencies = append(st.latencies, float64(time.Since(t0).Nanoseconds())/1e6)
-					switch {
-					case resp.StatusCode == http.StatusOK:
-						var out struct {
-							NReg     int  `json:"nreg"`
-							Degraded bool `json:"degraded"`
-						}
-						if json.Unmarshal(blob, &out) != nil || out.NReg != p.NReg {
-							sh.AliasMismatch++
-						}
-						if out.Degraded {
-							sh.Degraded++
-						} else {
-							sh.OK++
-						}
-						st.profileOK++
-					case resp.StatusCode == http.StatusTooManyRequests:
-						sh.Shed++
-					case resp.StatusCode == http.StatusBadRequest,
-						resp.StatusCode == http.StatusUnprocessableEntity:
-						sh.Invalid++
-					case resp.StatusCode == http.StatusGatewayTimeout:
-						sh.Timeout++
-					case resp.StatusCode >= 500:
-						sh.FiveXX++
-					}
-				}
-			}(pi, p, pi*opt.WorkersPerProfile+w)
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
 	rep := &AdvReport{
-		ByShape:   make(map[string]*AdvShapeStats, len(opt.Shapes)),
-		ProfileOK: make(map[string]int64, len(opt.Profiles)),
-		DurationS: elapsed.Seconds(),
+		ByShape:   make(map[string]*AdvShapeStats, len(advShapes)),
+		ProfileOK: make(map[string]int64, len(advProfiles)),
 	}
-	for _, shape := range opt.Shapes {
+	for _, shape := range advShapes {
 		rep.ByShape[shape] = &AdvShapeStats{}
 	}
-	var all []float64
-	for pi, p := range opt.Profiles {
-		for w := 0; w < opt.WorkersPerProfile; w++ {
-			st := &stats[pi*opt.WorkersPerProfile+w]
-			rep.ProfileOK[p.Name] += st.profileOK
-			all = append(all, st.latencies...)
-			workerShapes := make([]string, 0, len(st.byShape))
-			for shape := range st.byShape {
-				workerShapes = append(workerShapes, shape)
+	for _, p := range advProfiles {
+		rep.ProfileOK[p.name] = 0
+	}
+	timing, err := closedLoop(ctx, opt.Duration, opt.MaxRequests, workers,
+		func(ctx context.Context, w int, ticket int64) (advAnswer, error) {
+			p := advProfiles[w/opt.WorkersPerProfile]
+			shape := advShapes[sent[w]%len(advShapes)]
+			sent[w]++
+			var body []byte
+			if rngs[w].Float64() < advHotRatio {
+				pool := hot[shape+"|"+p.name]
+				body = pool[rngs[w].Intn(len(pool))]
+			} else {
+				body = opt.advSpec(shape, p, 100+ticket)
 			}
-			sort.Strings(workerShapes)
-			for _, shape := range workerShapes {
-				sh := st.byShape[shape]
-				dst := rep.ByShape[shape]
-				dst.Requests += sh.Requests
-				dst.OK += sh.OK
-				dst.Degraded += sh.Degraded
-				dst.Shed += sh.Shed
-				dst.Invalid += sh.Invalid
-				dst.Timeout += sh.Timeout
-				dst.FiveXX += sh.FiveXX
-				dst.Transport += sh.Transport
-				dst.AliasMismatch += sh.AliasMismatch
+			status, blob, err := post(ctx, client, opt.URL, body, p.name)
+			return advAnswer{shape: shape, status: status, body: blob}, err
+		},
+		func(w int, a advAnswer, err error) bool {
+			p := advProfiles[w/opt.WorkersPerProfile]
+			sh := rep.ByShape[a.shape]
+			sh.Requests++
+			rep.Requests++
+			switch {
+			case err != nil:
+				sh.Transport++
+				return false
+			case a.status == http.StatusOK:
+				var out struct {
+					NReg     int  `json:"nreg"`
+					Degraded bool `json:"degraded"`
+				}
+				if json.Unmarshal(a.body, &out) != nil || out.NReg != p.nreg {
+					sh.AliasMismatch++
+					rep.AliasMismatches++
+				}
+				if out.Degraded {
+					sh.Degraded++
+				} else {
+					sh.OK++
+				}
+				rep.ProfileOK[p.name]++
+			case a.status == http.StatusTooManyRequests:
+				sh.Shed++
+			case a.status == http.StatusBadRequest,
+				a.status == http.StatusUnprocessableEntity:
+				sh.Invalid++
+			case a.status == http.StatusGatewayTimeout:
+				sh.Timeout++
+			case a.status >= 500:
+				sh.FiveXX++
 			}
-		}
+			return true
+		})
+	if err != nil {
+		return nil, err
 	}
-	for _, sh := range rep.ByShape {
-		rep.Requests += sh.Requests
-		rep.AliasMismatches += sh.AliasMismatch
-	}
-	sort.Float64s(all)
-	if len(all) > 0 {
-		rep.P50MS = percentile(all, 0.50)
-		rep.P90MS = percentile(all, 0.90)
-		rep.P99MS = percentile(all, 0.99)
-		rep.MaxMS = all[len(all)-1]
-		sum := 0.0
-		for _, v := range all {
-			sum += v
-		}
-		rep.MeanMS = sum / float64(len(all))
-	}
-	if elapsed > 0 {
-		rep.ThroughputRPS = float64(rep.Requests) / elapsed.Seconds()
-	}
+	rep.Latency = timing.summary(rep.Requests)
 	rep.FairnessDev = fairnessDev(rep.ProfileOK, nil) // equal shares
 
-	post, err := ScrapeMetrics(opt.Client, opt.URL)
+	after, err := ScrapeMetrics(client, opt.URL)
 	if err != nil {
 		return rep, fmt.Errorf("loadgen: post-run metrics: %w", err)
 	}
-	rep.Metrics = post
-	delta := func(name string) float64 { return post[name] - pre[name] }
+	rep.Metrics = after
+	delta := func(name string) float64 { return after[name] - pre[name] }
 	fh, fm := delta("npserve_func_cache_hits"), delta("npserve_func_cache_misses")
 	if fh+fm > 0 {
 		rep.FuncCacheHitRate = fh / (fh + fm)

@@ -38,8 +38,8 @@ func TestRunAdversarialSmoke(t *testing.T) {
 	if rep.AliasMismatches != 0 {
 		t.Fatalf("alias mismatches = %d: cross-profile cache aliasing", rep.AliasMismatches)
 	}
-	if len(rep.ByShape) != len(AdvShapes) {
-		t.Fatalf("by_shape has %d families, want %d: %+v", len(rep.ByShape), len(AdvShapes), rep.ByShape)
+	if len(rep.ByShape) != len(advShapes) {
+		t.Fatalf("by_shape has %d families, want %d: %+v", len(rep.ByShape), len(advShapes), rep.ByShape)
 	}
 	var classified int64
 	for shape, sh := range rep.ByShape {
@@ -58,11 +58,11 @@ func TestRunAdversarialSmoke(t *testing.T) {
 		t.Error("rewrite-cache hit rate = 0: the hot pool never re-hit the rewrite tier")
 	}
 	// The gates themselves, at the thresholds serve-bench-adv ships.
-	if err := rep.Check(0, 0.9, 8, 0, 0); err != nil {
+	if err := rep.Check(0, 0.9, 8, -1, -1); err != nil {
 		t.Errorf("gates failed: %v", err)
 	}
 	// And the failure paths stay failures.
-	if err := rep.Check(0, 0, 0.000001, 0, 0); err == nil {
+	if err := rep.Check(0, -1, 0.000001, -1, -1); err == nil {
 		t.Error("an absurd eviction ceiling passed; the gate is not wired")
 	}
 }
@@ -74,27 +74,5 @@ func TestRunAdversarialValidation(t *testing.T) {
 	}
 	if _, err := RunAdversarial(context.Background(), AdvOptions{URL: "http://127.0.0.1:1"}); err == nil {
 		t.Error("no budget accepted")
-	}
-}
-
-// TestParseProfiles covers the profile-list syntax.
-func TestParseProfiles(t *testing.T) {
-	got, err := ParseProfiles("small=16,sym=32x4, large=128")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []HWProfile{{Name: "small", NReg: 16}, {Name: "sym", NReg: 32, NThd: 4}, {Name: "large", NReg: 128}}
-	if len(got) != len(want) {
-		t.Fatalf("got %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("profile %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	for _, bad := range []string{"", "x", "a=0", "a=8xq", "=4"} {
-		if _, err := ParseProfiles(bad); err == nil {
-			t.Errorf("ParseProfiles(%q) accepted", bad)
-		}
 	}
 }

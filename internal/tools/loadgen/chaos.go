@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"npra/internal/core"
@@ -41,48 +39,14 @@ type ChaosOptions struct {
 	Duration    time.Duration
 	MaxRequests int64
 
-	// Threads, NReg, TimeoutMS and Seed shape the generated request
-	// stream exactly as in Options.
-	Threads   int
-	NReg      int
-	TimeoutMS int64
-	Seed      int64
-
-	// LowFrac marks this fraction of calls priority "low" (default 0),
-	// exercising the server's shed tiers under pressure.
-	LowFrac float64
-
-	// PerCallTimeout bounds one call end to end, retries included
-	// (default 15s).
-	PerCallTimeout time.Duration
-
 	// Resilience parameterizes the shared resilient client; zero fields
 	// take that package's defaults. CheckBody is overridden to validate
 	// allocation response bodies (catching garbled payloads).
 	Resilience resilience.Config
 }
 
-func (o ChaosOptions) withDefaults() ChaosOptions {
-	if o.DirectURL == "" {
-		o.DirectURL = o.URL
-	}
-	if len(o.TenantWorkers) == 0 {
-		o.TenantWorkers = map[string]int{"heavy": 6, "light": 6}
-	}
-	if o.Threads <= 0 {
-		o.Threads = 3
-	}
-	if o.NReg <= 0 {
-		o.NReg = 64
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.PerCallTimeout <= 0 {
-		o.PerCallTimeout = 15 * time.Second
-	}
-	return o
-}
+// chaosCallTimeout bounds one chaos call end to end, retries included.
+const chaosCallTimeout = 15 * time.Second
 
 // ChaosReport classifies a chaos soak's outcomes. The three terminal
 // classes partition Calls: FirstTryOK + RetriedOK + HardFailed.
@@ -115,15 +79,9 @@ type ChaosReport struct {
 	TenantOK    map[string]int64 `json:"tenant_ok"`
 	FairnessDev float64          `json:"fairness_dev"`
 
-	DurationS     float64 `json:"duration_s"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-
-	// Per-call eventual latency (first attempt to terminal answer).
-	P50MS  float64 `json:"p50_ms"`
-	P90MS  float64 `json:"p90_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MeanMS float64 `json:"mean_ms"`
-	MaxMS  float64 `json:"max_ms"`
+	// Latency summarizes per-call eventual latency (first attempt to
+	// terminal answer) over the successful calls.
+	Latency
 
 	// ChaosFired counts faults the proxy injected, keyed by site name —
 	// filled in by the caller that owns the proxy.
@@ -134,25 +92,25 @@ type ChaosReport struct {
 }
 
 // Check validates the soak against the chaos acceptance gates:
-// eventual success rate at least minEventual, zero retries of 400/422,
-// p99 at most maxP99MS (skipped when not positive), and every tenant's
-// completion share within fairTol of its weight share (skipped when
-// fairTol is not positive).
+// eventual success rate at least minEventual, zero retries of 400/422
+// (always enforced), p99 at most maxP99MS, and every tenant's
+// completion share within fairTol of its weight share. A negative
+// bound disables its gate.
 func (r *ChaosReport) Check(minEventual, maxP99MS, fairTol float64) error {
 	if r.Calls == 0 {
 		return errs.Internalf("chaos: no calls completed")
 	}
-	if r.EventualSuccessRate < minEventual {
+	if minEventual >= 0 && r.EventualSuccessRate < minEventual {
 		return errs.Internalf("chaos: eventual success rate %.5f below the %.5f floor (%d hard failures)",
 			r.EventualSuccessRate, minEventual, r.HardFailed)
 	}
 	if r.BadRetries > 0 {
 		return errs.Internalf("chaos: %d retries were triggered by 400/422 — those must never be retried", r.BadRetries)
 	}
-	if maxP99MS > 0 && r.P99MS > maxP99MS {
+	if maxP99MS >= 0 && r.P99MS > maxP99MS {
 		return errs.Internalf("chaos: p99 latency %.2fms above the %.2fms ceiling", r.P99MS, maxP99MS)
 	}
-	if fairTol > 0 && r.FairnessDev > fairTol {
+	if fairTol >= 0 && r.FairnessDev > fairTol {
 		return errs.Internalf("chaos: tenant completion share deviates %.4f from the weight share (allowed %.4f): %v",
 			r.FairnessDev, fairTol, r.TenantOK)
 	}
@@ -162,24 +120,17 @@ func (r *ChaosReport) Check(minEventual, maxP99MS, fairTol float64) error {
 // chaosSpec derives one tenant's request i: a fresh unique workload per
 // call (tenant-salted so tenants never collide in the dedup layer, and
 // fairness measures real engine work).
-func chaosSpec(o *ChaosOptions, tenantIdx int, i int64, low bool) []byte {
-	req := core.WireRequest{NReg: o.NReg, TimeoutMS: o.TimeoutMS}
-	if low {
-		req.Priority = "low"
-	}
-	nthreads := 1 + int(i)%o.Threads
+func chaosSpec(tenantIdx int, i int64) []byte {
+	req := core.WireRequest{NReg: nreg}
+	nthreads := 1 + int(i)%maxThreads
 	for th := 0; th < nthreads; th++ {
 		req.Threads = append(req.Threads, core.WireThread{
 			Progen: &core.WireProgen{
-				Seed: o.Seed*1_000_000_000 + int64(tenantIdx)*100_000_000 + i*10 + int64(th),
+				Seed: 1_000_000_000 + int64(tenantIdx)*100_000_000 + i*10 + int64(th),
 			},
 		})
 	}
-	blob, err := json.Marshal(&req)
-	if err != nil {
-		return []byte("{}")
-	}
-	return blob
+	return marshal(&req)
 }
 
 // checkAllocBody validates a 2xx /allocate response body: it must be
@@ -205,23 +156,20 @@ func checkAllocBody(status int, body []byte) error {
 // when ctx is done, Duration elapses, or MaxRequests calls have been
 // issued — whichever comes first.
 func RunChaos(ctx context.Context, opt ChaosOptions) (*ChaosReport, error) {
-	opt = opt.withDefaults()
 	if opt.URL == "" {
 		return nil, errs.Invalidf("loadgen: no chaos target URL")
 	}
-	if opt.Duration <= 0 && opt.MaxRequests <= 0 {
-		return nil, errs.Invalidf("loadgen: need a duration or a request budget")
+	if opt.DirectURL == "" {
+		opt.DirectURL = opt.URL
 	}
-	if opt.Duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Duration)
-		defer cancel()
+	if len(opt.TenantWorkers) == 0 {
+		opt.TenantWorkers = map[string]int{"heavy": 6, "light": 6}
 	}
 
 	rcfg := opt.Resilience
 	rcfg.CheckBody = checkAllocBody
 	if rcfg.Seed == 0 {
-		rcfg.Seed = uint64(opt.Seed)
+		rcfg.Seed = 1
 	}
 	client := resilience.New(rcfg)
 
@@ -230,104 +178,55 @@ func RunChaos(ctx context.Context, opt ChaosOptions) (*ChaosReport, error) {
 		tenants = append(tenants, t)
 	}
 	sort.Strings(tenants)
-
-	type callStats struct {
-		calls, firstOK, retriedOK, hardFailed int64
-		latencies                             []float64
-	}
-	var (
-		mu       sync.Mutex
-		perT     = make(map[string]*callStats, len(tenants))
-		issued   atomic.Int64
-		lowDraws atomic.Int64
-	)
-	for _, t := range tenants {
-		perT[t] = &callStats{}
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
+	// Workers are numbered tenant by tenant; owner[w] is w's tenant.
+	var owner []int
+	hdrs := make([]http.Header, len(tenants))
 	for ti, tenant := range tenants {
-		hdr := http.Header{}
-		hdr.Set("X-Tenant", tenant)
-		for w := 0; w < opt.TenantWorkers[tenant]; w++ {
-			wg.Add(1)
-			go func(ti int, tenant string, hdr http.Header) {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					ticket := issued.Add(1)
-					if opt.MaxRequests > 0 && ticket > opt.MaxRequests {
-						return
-					}
-					// Deterministic low-priority sprinkling: every k-th call
-					// is low when LowFrac = 1/k-ish.
-					low := opt.LowFrac > 0 &&
-						float64(lowDraws.Add(1)%100) < opt.LowFrac*100
-					body := chaosSpec(&opt, ti, ticket, low)
-
-					cctx, cancel := context.WithTimeout(ctx, opt.PerCallTimeout)
-					t0 := time.Now()
-					res, err := client.Post(cctx, opt.URL+"/allocate", "application/json", body, hdr)
-					lat := float64(time.Since(t0).Nanoseconds()) / 1e6
-					cancel()
-
-					mu.Lock()
-					st := perT[tenant]
-					st.calls++
-					switch {
-					case err == nil && res.Status == http.StatusOK:
-						if res.Retries == 0 {
-							st.firstOK++
-						} else {
-							st.retriedOK++
-						}
-						st.latencies = append(st.latencies, lat)
-					case ctx.Err() != nil:
-						// The run ended mid-call; don't count it as a failure.
-						st.calls--
-					default:
-						// Exhausted budget, dead ctx, or a terminal non-200.
-						st.hardFailed++
-					}
-					mu.Unlock()
-				}
-			}(ti, tenant, hdr)
+		hdrs[ti] = http.Header{}
+		hdrs[ti].Set("X-Tenant", tenant)
+		for k := 0; k < opt.TenantWorkers[tenant]; k++ {
+			owner = append(owner, ti)
 		}
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
 
-	rep := &ChaosReport{
-		TenantOK:  make(map[string]int64, len(tenants)),
-		DurationS: elapsed.Seconds(),
-	}
-	var all []float64
+	rep := &ChaosReport{TenantOK: make(map[string]int64, len(tenants))}
 	for _, t := range tenants {
-		st := perT[t]
-		rep.Calls += st.calls
-		rep.FirstTryOK += st.firstOK
-		rep.RetriedOK += st.retriedOK
-		rep.HardFailed += st.hardFailed
-		rep.TenantOK[t] = st.firstOK + st.retriedOK
-		all = append(all, st.latencies...)
+		rep.TenantOK[t] = 0
 	}
-	sort.Float64s(all)
-	if len(all) > 0 {
-		rep.P50MS = percentile(all, 0.50)
-		rep.P90MS = percentile(all, 0.90)
-		rep.P99MS = percentile(all, 0.99)
-		rep.MaxMS = all[len(all)-1]
-		sum := 0.0
-		for _, v := range all {
-			sum += v
-		}
-		rep.MeanMS = sum / float64(len(all))
+	timing, err := closedLoop(ctx, opt.Duration, opt.MaxRequests, len(owner),
+		func(ctx context.Context, w int, ticket int64) (int, error) {
+			ti := owner[w]
+			cctx, cancel := context.WithTimeout(ctx, chaosCallTimeout)
+			defer cancel()
+			res, err := client.Post(cctx, opt.URL+"/allocate", "application/json", chaosSpec(ti, ticket), hdrs[ti])
+			if err != nil {
+				return 0, err // exhausted budget or dead ctx
+			}
+			if res.Status != http.StatusOK {
+				return 0, errs.Internalf("loadgen: terminal status %d", res.Status)
+			}
+			return res.Retries, nil
+		},
+		func(w int, retries int, err error) bool {
+			rep.Calls++
+			switch {
+			case err != nil:
+				rep.HardFailed++
+				return false
+			case retries == 0:
+				rep.FirstTryOK++
+			default:
+				rep.RetriedOK++
+			}
+			rep.TenantOK[tenants[owner[w]]]++
+			return true
+		})
+	if err != nil {
+		return nil, err
 	}
+	rep.Latency = timing.summary(rep.Calls)
 	if rep.Calls > 0 {
 		rep.EventualSuccessRate = float64(rep.FirstTryOK+rep.RetriedOK) / float64(rep.Calls)
-	}
-	if elapsed > 0 {
-		rep.ThroughputRPS = float64(rep.Calls) / elapsed.Seconds()
 	}
 
 	cst := client.Stats()

@@ -67,7 +67,7 @@ func TestRunChaos(t *testing.T) {
 	}
 	// Loose availability floor for a short run: the 8-attempt budget
 	// should clear ~32% per-attempt fault odds with room to spare.
-	if err := rep.Check(0.99, 0, 0); err != nil {
+	if err := rep.Check(0.99, -1, -1); err != nil {
 		t.Errorf("availability check: %v", err)
 	}
 	if len(rep.Metrics) == 0 {

@@ -1,108 +1,194 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
-	"net/http/httptest"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
 	"testing"
 
+	"npra/internal/bench"
+	"npra/internal/core"
 	"npra/internal/serve"
 )
 
-// TestRunMixSmoke drives a small kernel-mix run against a baseline
-// (caches off) and a warm server and checks the report invariants: all
-// requests clean, a high warm-phase function-cache hit rate, and the
-// gate plumbing.
-func TestRunMixSmoke(t *testing.T) {
-	baseline := serve.New(serve.Config{FuncCacheEntries: -1, BodyCacheEntries: -1})
-	bts := httptest.NewServer(baseline.Handler())
-	warm := serve.New(serve.Config{})
-	wts := httptest.NewServer(warm.Handler())
-	t.Cleanup(func() {
-		bts.Close()
-		wts.Close()
-		baseline.Close()
-		warm.Close()
-	})
+// The kernel-mix stream: the "many users, same kernels" shape the
+// function cache exists for. Requests are composed from a small shared
+// pool of kernels with varying thread multiplicities, so whole requests
+// rarely repeat (request-level dedup helps little) while every thread
+// body comes from the pool (function-level reuse answers nearly
+// everything once warm).
+const (
+	mixKernels  = 8
+	mixThreads  = 4
+	mixNReg     = 128 // a 4-way mix of the heavyweight kernels does not fit 64
+	mixRequests = 200
+	mixWorkers  = 4
+	mixSeed     = 1
+)
 
-	rep, err := RunMix(context.Background(), MixOptions{
-		URL:         wts.URL,
-		BaselineURL: bts.URL,
-		Concurrency: 2,
-		Requests:    24,
-		Kernels:     3,
-		Seed:        5,
-	})
-	if err != nil {
-		t.Fatal(err)
+// mixPool returns the kernel pool as wire threads. The last three
+// slots are the ipv6_fwd, aes_round and dpi_scan bench kernels as asm,
+// so the pool holds real structured network code beside the
+// generator's idiom; the rest are heavyweight progen specs (deep
+// nesting, long bodies, many variables) so engine time dominates
+// transport time.
+func mixPool(t *testing.T) []core.WireThread {
+	t.Helper()
+	service := []string{"ipv6_fwd", "aes_round", "dpi_scan"}
+	pool := make([]core.WireThread, mixKernels)
+	for k := range pool {
+		if s := k - (mixKernels - len(service)); s >= 0 {
+			b, err := bench.Get(service[s])
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool[k] = core.WireThread{Asm: b.Gen(8).Format()}
+			continue
+		}
+		pool[k] = core.WireThread{Progen: &core.WireProgen{
+			Seed:       mixSeed*1_000_000 + int64(k),
+			MaxDepth:   4,
+			MaxBodyLen: 24,
+			MaxTripCnt: 8,
+			MaxVars:    24,
+			CSBDensity: 0.3,
+		}}
 	}
-	if rep.Cold == nil || rep.Cold.Requests != 24 {
-		t.Fatalf("cold phase missing or short: %+v", rep.Cold)
+	return pool
+}
+
+// mixSpec composes request i of the stream: the thread count cycles
+// with i and the kernel choices are the mixed-radix digits of
+// i/mixThreads in base mixKernels — distinct for every i until the
+// digit space wraps.
+func mixSpec(pool []core.WireThread, i int64) []byte {
+	req := core.WireRequest{NReg: mixNReg}
+	nthreads := 1 + int(i)%mixThreads
+	x := i / mixThreads
+	for th := 0; th < nthreads; th++ {
+		req.Threads = append(req.Threads, pool[x%mixKernels])
+		x /= mixKernels
 	}
-	if rep.Warm.Requests != 24 {
-		t.Fatalf("warm requests = %d, want 24", rep.Warm.Requests)
+	return marshal(&req)
+}
+
+// mixRounds is how many same-run A/B rounds the p99 gate takes the
+// median of. A round's warm phase lasts about 25 ms, so a single
+// multi-millisecond scheduling stall on a shared host can flip one
+// round's ratio; the median keeps the 2x bound and is decided by the
+// typical round, failing more surely than one round when the typical
+// ratio is below 2.
+const mixRounds = 5
+
+// TestKernelMixGates drives the identical kernel-mix stream at a server
+// with its function and body caches off (cold) and then at a warm one,
+// and holds each round to the warm-cache gates: both phases clean, warm
+// function-cache hit rate >= 0.9 and uncached rewrite at most 40% of
+// warm engine time. Over the rounds, the median of cold p99 / warm p99
+// must reach 2.
+func TestKernelMixGates(t *testing.T) {
+	pool := mixPool(t)
+	bodies := make([][]byte, mixRequests+1)
+	for ticket := range bodies {
+		bodies[ticket] = mixSpec(pool, 1+int64(ticket))
 	}
-	if rep.Warm.FiveXX != 0 || rep.Cold.FiveXX != 0 {
-		t.Errorf("5xx: cold %d warm %d, want none", rep.Cold.FiveXX, rep.Warm.FiveXX)
+	speedups := make([]float64, mixRounds)
+	for r := range speedups {
+		t.Run(fmt.Sprintf("round%d", r), func(t *testing.T) {
+			speedups[r] = mixRound(t, pool, bodies)
+		})
 	}
-	// Every kernel was warmed before the measured phase, so every
-	// engine-reaching thread checkout should hit.
-	if rep.FuncCacheHitRate < 0.9 {
-		t.Errorf("funccache hit rate = %v, want >= 0.9 after warmup", rep.FuncCacheHitRate)
-	}
-	if rep.FuncCacheHits == 0 {
-		t.Error("funccache hits = 0: the warm phase never reached the cache")
-	}
-	if rep.BodyCacheHitRate < 0.9 {
-		t.Errorf("bodycache hit rate = %v, want >= 0.9 after warmup", rep.BodyCacheHitRate)
-	}
-	if rep.P99Speedup <= 0 {
-		t.Errorf("p99 speedup = %v, want > 0 with a cold phase present", rep.P99Speedup)
-	}
-	if rep.RewriteCacheHitRate <= 0 {
-		t.Errorf("rewritecache hit rate = %v, want > 0 after warmup", rep.RewriteCacheHitRate)
-	}
-	if rep.WarmRewriteShare > 0.4 {
-		t.Errorf("warm rewrite share = %v, want <= 0.4 with the rewrite tier on", rep.WarmRewriteShare)
-	}
-	if err := rep.Check(0, 0.9, 0, 0.4); err != nil {
-		t.Errorf("Check: %v", err)
-	}
-	if err := rep.Check(0, 1.01, 0, 0); err == nil {
-		t.Error("Check accepted an unreachable hit-rate floor")
-	}
-	if err := rep.Check(0, -1, 1e9, 0); err == nil {
-		t.Error("Check accepted an unreachable speedup floor")
-	}
-	hot := &MixReport{Warm: rep.Warm, WarmRewriteShare: 0.91}
-	if err := hot.Check(0, -1, 0, 0.4); err == nil {
-		t.Error("rewrite-share gate passed a report with a hot rewrite phase")
+	sort.Float64s(speedups)
+	if med := speedups[mixRounds/2]; med < 2 {
+		t.Errorf("median warm p99 speedup %.2fx below the 2x floor (rounds %.2f)", med, speedups)
 	}
 }
 
-// TestRunMixNoBaseline covers the external-server shape: without a
-// BaselineURL there is no cold phase and the speedup gate must refuse
-// rather than silently pass.
-func TestRunMixNoBaseline(t *testing.T) {
-	warm := serve.New(serve.Config{})
-	wts := httptest.NewServer(warm.Handler())
-	t.Cleanup(func() {
-		wts.Close()
-		warm.Close()
-	})
-	rep, err := RunMix(context.Background(), MixOptions{
-		URL:         wts.URL,
-		Concurrency: 2,
-		Requests:    9,
-		Kernels:     2,
-		Seed:        3,
-	})
+// mixRound drives bodies at a fresh cold server and then at a fresh
+// warm one, checks the round's deterministic gates, and returns cold
+// p99 / warm p99.
+func mixRound(t *testing.T, pool []core.WireThread, bodies [][]byte) float64 {
+	drive := func(url string) *Report {
+		t.Helper()
+		rep, err := run(context.Background(), Options{URL: url, Concurrency: mixWorkers, MaxRequests: mixRequests},
+			func(_ int, ticket int64) []byte { return bodies[ticket] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Requests != mixRequests {
+			t.Fatalf("requests = %d, want %d", rep.Requests, mixRequests)
+		}
+		if err := rep.Check(0, -1, -1); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	cts := startServer(t, serve.Config{FuncCacheEntries: -1, BodyCacheEntries: -1}, nil)
+	wts := startServer(t, serve.Config{}, nil)
+	cold := drive(cts.URL)
+
+	// One single-thread request per kernel puts every pool body into
+	// the warm server's caches before the measured phase.
+	for k, th := range pool {
+		blob := marshal(&core.WireRequest{NReg: mixNReg, Threads: []core.WireThread{th}})
+		resp, err := http.Post(wts.URL+"/allocate", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("warmup kernel %d: %v", k, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("warmup kernel %d: status %d", k, resp.StatusCode)
+		}
+	}
+	pre, err := ScrapeMetrics(http.DefaultClient, wts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Cold != nil || rep.P99Speedup != 0 {
-		t.Errorf("cold = %+v speedup = %v, want no cold phase", rep.Cold, rep.P99Speedup)
+	warm := drive(wts.URL)
+	delta := func(name string) float64 { return warm.Metrics[name] - pre[name] }
+	rate := func(hits, misses float64) float64 {
+		if hits+misses == 0 {
+			return 0
+		}
+		return hits / (hits + misses)
 	}
-	if err := rep.Check(0, -1, 2, 0); err == nil {
-		t.Error("speedup gate passed without a baseline")
+
+	funcHit := rate(delta("npserve_func_cache_hits"), delta("npserve_func_cache_misses"))
+	bodyHit := rate(delta("npserve_body_cache_hits"), delta("npserve_body_cache_misses"))
+	rewriteHit := rate(delta("npserve_rewrite_cache_hits")+delta("npserve_rewrite_cache_reloc_hits"),
+		delta("npserve_rewrite_cache_misses"))
+	// Uncached rewrite time over all engine phase time; the cached
+	// lookup (rewrite_cached) counts toward the denominator only, since
+	// it is the fix, not the hotspot.
+	phase := func(name string) float64 { return delta(fmt.Sprintf("npserve_engine_phase_ns{phase=%q}", name)) }
+	var engineNS float64
+	for _, name := range []string{"build", "estimate_merge", "estimate_repair", "chain_coloring", "rewrite", "rewrite_cached"} {
+		engineNS += phase(name)
 	}
+	if engineNS == 0 {
+		t.Fatal("no warm engine phase time scraped")
+	}
+	rewriteShare := phase("rewrite") / engineNS
+	speedup := cold.P99MS / warm.P99MS
+	t.Logf("funccache hit %.4f, bodycache hit %.4f, rewritecache hit %.4f, rewrite share %.4f, p99 cold %.2fms warm %.2fms (%.2fx)",
+		funcHit, bodyHit, rewriteHit, rewriteShare, cold.P99MS, warm.P99MS, speedup)
+
+	if funcHit < 0.9 {
+		t.Errorf("warm function-cache hit rate %.4f below the 0.9 floor", funcHit)
+	}
+	if bodyHit < 0.9 {
+		t.Errorf("warm body-cache hit rate %.4f below 0.9 after warmup", bodyHit)
+	}
+	if rewriteHit <= 0 {
+		t.Error("warm rewrite lookups never hit")
+	}
+	if rewriteShare > 0.4 {
+		t.Errorf("warm uncached rewrite share %.4f of engine time above the 0.4 ceiling", rewriteShare)
+	}
+	return speedup
 }

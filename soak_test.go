@@ -164,7 +164,7 @@ func TestSoakServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Check(0, 0.4, 0); err != nil {
+	if err := rep.Check(0, 0.4, -1); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Requests < 100 {
@@ -202,7 +202,7 @@ func TestSoakAdversarial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Check(0, 0.9, 8, 0, 0.6); err != nil {
+	if err := rep.Check(0, 0.9, 8, -1, 0.6); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Requests < 100 {
